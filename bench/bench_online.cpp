@@ -25,11 +25,11 @@
 
 #include "bench_common.hpp"
 #include "decomp/layering.hpp"
+#include "dist/protocol.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
 #include "obs/timeseries.hpp"
 #include "online/churn_engine.hpp"
-#include "policy/config.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -130,14 +130,11 @@ double scratchProfitOnSurvivors(const InstanceUniverse& universe,
                                 const ChurnEngineConfig& config,
                                 const ChurnRunResult& churn,
                                 std::span<const InstanceId> activeInstances) {
-  // Lift to the unified SchedulerConfig (policy/config.hpp) and project
-  // back instead of copying fields by hand; the lifting keeps the
-  // online path's fixed-schedule contract.
-  SchedulerConfig sched = SchedulerConfig::fromOnlineSolver(config.solver);
-  sched.core.seed = churn.epochs.empty() ? config.solver.seed
-                                         : churn.epochs.back().protocolSeed;
-  return runTwoPhaseRestricted(universe, layering, sched.framework(),
-                               activeInstances)
+  DistributedOptions options = epochProtocolOptions(config.solver, 0);
+  options.seed = churn.epochs.empty() ? config.solver.seed
+                                      : churn.epochs.back().protocolSeed;
+  return runTwoPhaseRestricted(universe, layering,
+                               centralizedReference(options), activeInstances)
       .profit;
 }
 

@@ -75,26 +75,21 @@ struct OnlineRun {
   std::string metricsJson;
 };
 
-SchedulerConfig tournamentConfig(std::uint64_t seed) {
-  SchedulerConfig config;
-  config.core.seed = seed + 7;
-  config.core.epsilon = 0.3;
-  config.core.misRoundBudget = 4;
-  config.core.stepsPerStage = 2;
-  return config;
-}
-
 OneshotRun runOneshot(const std::string& preset,
                       const ScenarioProblem& scenario,
                       const std::string& policyId, std::uint64_t seed,
                       std::int32_t demands, bench::Telemetry& telemetry) {
   const SchedulerRegistry& registry = SchedulerRegistry::all();
   const SchedulerInfo& info = registry.info(policyId);
-  SchedulerConfig config = tournamentConfig(seed);
+  DistributedOptions options;
+  options.seed = seed + 7;
+  options.epsilon = 0.3;
+  options.misRoundBudget = 4;
+  options.stepsPerStage = 2;
   MetricsRegistry metrics;
-  config.distributed.tracer = telemetry.tracer();
-  config.distributed.metrics = &metrics;
-  const auto scheduler = registry.make(policyId, config);
+  options.tracer = telemetry.tracer();
+  options.metrics = &metrics;
+  const auto scheduler = registry.make(policyId, options);
 
   const auto begin = std::chrono::steady_clock::now();
   const ScheduleOutcome outcome = scheduler->solve(

@@ -87,15 +87,15 @@ int runPolicy(const std::string& policyId, std::string preset,
   const ScenarioProblem scenario =
       buildScenarioProblem(preset, seed, demands);
 
-  SchedulerConfig config;
-  config.core.seed = seed + 7;
-  config.core.epsilon = 0.3;
-  config.core.misRoundBudget = 4;
-  config.core.stepsPerStage = 2;
+  DistributedOptions options;
+  options.seed = seed + 7;
+  options.epsilon = 0.3;
+  options.misRoundBudget = 4;
+  options.stepsPerStage = 2;
   MetricsRegistry metrics;
-  config.distributed.tracer = telemetry.get();
-  config.distributed.metrics = &metrics;
-  const auto scheduler = registry.make(policyId, config);
+  options.tracer = telemetry.get();
+  options.metrics = &metrics;
+  const auto scheduler = registry.make(policyId, options);
 
   const auto begin = std::chrono::steady_clock::now();
   const ScheduleOutcome outcome = scheduler->solve(
@@ -144,16 +144,15 @@ int runPreset(const std::string& preset, std::uint64_t seed,
           ? prepareUnitLineRun(makeMetroLine100k(seed, demands))
           : prepareUnitTreeRun(makeCdnTree250k(seed, demands));
 
-  SchedulerConfig sched;
-  sched.core.seed = seed + 7;
-  sched.core.epsilon = 0.3;
-  sched.core.misRoundBudget = 4;
-  sched.core.stepsPerStage = 2;
-  sched.distributed.threads = threads;
+  DistributedOptions dopt;
+  dopt.seed = seed + 7;
+  dopt.epsilon = 0.3;
+  dopt.misRoundBudget = 4;
+  dopt.stepsPerStage = 2;
+  dopt.threads = threads;
   MetricsRegistry metrics;
-  sched.distributed.tracer = telemetry.get();
-  sched.distributed.metrics = &metrics;
-  const DistributedOptions dopt = sched.distributedOptions();
+  dopt.tracer = telemetry.get();
+  dopt.metrics = &metrics;
 
   SimNetwork bus(std::move(prepared.adjacency));
   const auto begin = std::chrono::steady_clock::now();
@@ -295,30 +294,25 @@ int main(int argc, char** argv) {
   StepPrinter printer;
 
   std::cout << "phase-1 trace (first steps):\n";
-  // One layered config, projected onto both engines — the unified
-  // SchedulerConfig (policy/config.hpp) replaces the hand-copied
-  // DistributedOptions/FrameworkConfig pair this demo used to carry.
-  SchedulerConfig sched;
-  sched.core.seed = 7;
-  sched.core.epsilon = 0.1;
-  sched.core.misRoundBudget = 32;
-  sched.core.stepsPerStage = 10;
-  sched.distributed.threads = threads;
-  sched.distributed.observer = &printer;
+  DistributedOptions options;
+  options.seed = 7;
+  options.epsilon = 0.1;
+  options.misRoundBudget = 32;
+  options.stepsPerStage = 10;
+  options.threads = threads;
+  options.observer = &printer;
   MetricsRegistry metrics;
-  sched.distributed.tracer = telemetry.get();
-  sched.distributed.metrics = &metrics;
-  const DistributedResult dist =
-      runDistributedUnitTree(problem, sched.distributedOptions());
+  options.tracer = telemetry.get();
+  options.metrics = &metrics;
+  const DistributedResult dist = runDistributedUnitTree(problem, options);
   std::cout << "\n";
 
-  // Centralized reference with the identical fixed schedule (the
-  // framework() projection keeps fixedSchedule on by contract).
+  // Centralized reference with the identical fixed schedule.
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
   const TreeLayeringResult layering = buildTreeLayering(problem, universe);
-  const TwoPhaseResult central =
-      runTwoPhase(universe, layering.layering, sched.framework());
+  const TwoPhaseResult central = runTwoPhase(universe, layering.layering,
+                                             centralizedReference(options));
 
   Table table({"metric", "value"});
   table.row().cell("profit (distributed)").cell(dist.profit, 2);

@@ -103,16 +103,6 @@ int main(int argc, char** argv) {
             << arrivalModelName(scenario.arrivals.model) << "), epoch length "
             << scenario.epochLength << "\n\n";
 
-  // One layered config (policy/config.hpp), projected onto the churn
-  // engine's solver view at the boundary.
-  SchedulerConfig sched;
-  sched.core.epsilon = 0.3;
-  sched.core.seed = seed + 13;
-  sched.core.misRoundBudget = 4;
-  sched.core.stepsPerStage = 2;
-  sched.distributed.threads =
-      static_cast<std::int32_t>(flags.getInt("threads"));
-
   // Telemetry plane (src/obs/): the tracer and registry thread through
   // the solver config into every epoch's protocol run.
   std::unique_ptr<ChromeTraceSink> sink;
@@ -130,7 +120,11 @@ int main(int argc, char** argv) {
 
   ChurnEngineConfig config;
   config.epochLength = scenario.epochLength;
-  config.solver = sched.onlineSolver();
+  config.solver.epsilon = 0.3;
+  config.solver.seed = seed + 13;
+  config.solver.misRoundBudget = 4;
+  config.solver.stepsPerStage = 2;
+  config.solver.threads = static_cast<std::int32_t>(flags.getInt("threads"));
   config.solver.tracer = sink != nullptr ? &tracer : nullptr;
   config.solver.metrics = &metrics;
   if (!flags.getString("ledger").empty()) {
@@ -188,15 +182,15 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // From-scratch contrast on the survivors: lift the engine's solver
-  // view back into the layered config and project the framework view.
+  // From-scratch contrast on the survivors: the centralized reference of
+  // the last epoch's protocol run.
   const std::vector<InstanceId>& survivors = result.finalActiveInstances;
-  SchedulerConfig scratch = SchedulerConfig::fromOnlineSolver(config.solver);
-  scratch.core.seed = result.epochs.empty()
-                          ? config.solver.seed
-                          : result.epochs.back().protocolSeed;
-  const TwoPhaseResult fromScratch = runTwoPhaseRestricted(
-      problem.universe, problem.layering, scratch.framework(), survivors);
+  DistributedOptions scratch = epochProtocolOptions(config.solver, 0);
+  scratch.seed = result.epochs.empty() ? config.solver.seed
+                                       : result.epochs.back().protocolSeed;
+  const TwoPhaseResult fromScratch =
+      runTwoPhaseRestricted(problem.universe, problem.layering,
+                            centralizedReference(scratch), survivors);
 
   std::cout << "\nfinal revenue (" << policy << "): " << result.finalProfit
             << "  (from-scratch on survivors: " << fromScratch.profit

@@ -41,8 +41,6 @@ LineProblem subProblem(const LineProblem& problem,
   return sub;
 }
 
-}  // namespace
-
 LineSolveResult runLineFramework(const LineProblem& problem,
                                  const SolverOptions& options, RaiseRule rule) {
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
@@ -79,6 +77,8 @@ LineSolveResult runLineFramework(const LineProblem& problem,
             __FILE__, __LINE__);
   return result;
 }
+
+}  // namespace
 
 LineSolveResult solveUnitLine(const LineProblem& problem,
                               const SolverOptions& options) {

@@ -59,10 +59,4 @@ LineSolveResult solvePanconesiSozioUnitLine(const LineProblem& problem,
 ArbitraryLineResult solvePanconesiSozioArbitraryLine(
     const LineProblem& problem, SolverOptions options = {});
 
-/// Shared internals (exposed for ablations): run the framework over the
-/// line universe of `problem` restricted to nothing (rule selects the
-/// raise policy).
-LineSolveResult runLineFramework(const LineProblem& problem,
-                                 const SolverOptions& options, RaiseRule rule);
-
 }  // namespace treesched

@@ -56,8 +56,6 @@ TreeProblem subProblem(const TreeProblem& problem,
   return sub;
 }
 
-}  // namespace
-
 TreeSolveResult runTreeFramework(const TreeProblem& problem,
                                  const SolverOptions& options, RaiseRule rule) {
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
@@ -85,6 +83,8 @@ TreeSolveResult runTreeFramework(const TreeProblem& problem,
             __FILE__, __LINE__);
   return result;
 }
+
+}  // namespace
 
 TreeSolveResult solveUnitTree(const TreeProblem& problem,
                               const SolverOptions& options) {

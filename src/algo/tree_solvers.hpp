@@ -26,10 +26,6 @@
 namespace treesched {
 
 /// Options shared by the distributed solvers.
-///
-/// Legacy per-layer view: new code builds a layered SchedulerConfig
-/// (policy/config.hpp) and projects with solverOptions(); the one
-/// field-by-field mapping lives there.
 struct SolverOptions {
   double epsilon = 0.1;  ///< approximation slack (lambda = 1-eps staged)
   std::uint64_t seed = 1;
@@ -75,10 +71,5 @@ struct ArbitraryTreeResult {
 /// Theorem 6.3. Accepts any heights in (0, 1].
 ArbitraryTreeResult solveArbitraryTree(const TreeProblem& problem,
                                        const SolverOptions& options = {});
-
-/// Shared internals, exposed for the ablation benches: runs the framework
-/// over an explicit universe/layering built from `problem`.
-TreeSolveResult runTreeFramework(const TreeProblem& problem,
-                                 const SolverOptions& options, RaiseRule rule);
 
 }  // namespace treesched

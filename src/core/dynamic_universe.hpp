@@ -38,8 +38,9 @@
 
 namespace treesched {
 
-/// Cumulative cost accounting of one DynamicUniverse. Published by the
-/// online solver as `universe.*` metrics; `bench_online` derives its
+/// Cumulative cost accounting of one DynamicUniverse. The online solver
+/// publishes the GC counts as `universe.*` metrics (the wall clocks stay
+/// out of the deterministic registry); `bench_online` derives its
 /// `universe_build_ms` / `mean_extend_us_per_arrival` columns from it.
 struct UniverseStats {
   double buildMs = 0;            ///< one-time pool build (layerer + indexes)

@@ -243,6 +243,10 @@ class ProtocolEngine {
       weightScratch_[static_cast<std::size_t>(p)] =
           static_cast<std::int64_t>(u_.instancesOfDemand(p).size());
     }
+    // The runner is engine-owned, so its telemetry can attach before the
+    // first parallel section: the context build's shard claims then
+    // reach `engine.claims` like every later section's.
+    runner_.attachTelemetry(opt_.tracer, opt_.metrics);
     runner_.planWeighted(weightScratch_, weightedPlan_);
     runner_.forShards(weightedPlan_, [&](std::int32_t shard) {
       const std::int64_t end = weightedPlan_.end(shard);
@@ -265,12 +269,11 @@ class ProtocolEngine {
       ledgerEdgeLoad_.assign(groundDual_.numEdges(), 0.0);
     }
 
-    // Attach LAST: everything above can throw, and the destructor (which
-    // detaches) only runs for fully constructed engines — attaching any
-    // earlier could leave the caller-owned transport holding dangling
-    // runner/telemetry pointers.
+    // Attach the caller-owned transport LAST: everything above can throw,
+    // and the destructor (which detaches) only runs for fully constructed
+    // engines — attaching any earlier could leave the transport holding
+    // dangling runner/telemetry pointers.
     net_.attachTelemetry(opt_.tracer, opt_.metrics);
-    runner_.attachTelemetry(opt_.tracer, opt_.metrics);
     net_.attachRunner(&runner_);
   }
 
@@ -933,6 +936,19 @@ class ProtocolEngine {
 };
 
 }  // namespace
+
+FrameworkConfig centralizedReference(const DistributedOptions& options) {
+  FrameworkConfig config;
+  config.epsilon = options.epsilon;
+  config.raise = options.rule;
+  config.schedule = SchedulePolicy::Staged;
+  config.hmin = options.hmin;
+  config.seed = options.seed;
+  config.misRoundBudget = options.misRoundBudget;
+  config.fixedSchedule = true;
+  config.stepsPerStage = options.stepsPerStage;
+  return config;
+}
 
 DistributedResult runDistributedOverTransport(
     const InstanceUniverse& universe, const Layering& layering,

@@ -42,6 +42,7 @@
 #include "decomp/layering.hpp"
 #include "dist/observer.hpp"
 #include "framework/raise_policy.hpp"
+#include "framework/two_phase.hpp"
 #include "net/transport.hpp"
 
 namespace treesched {
@@ -50,9 +51,6 @@ class Tracer;
 class MetricsRegistry;
 class LedgerSink;
 
-/// Legacy per-layer view: new code builds a layered SchedulerConfig
-/// (policy/config.hpp) and projects with distributedOptions(); the one
-/// field-by-field mapping lives there.
 struct DistributedOptions {
   double epsilon = 0.1;  ///< staged plan: lambda target = 1 - eps
   RaiseRule rule = RaiseRule::Unit;
@@ -96,6 +94,12 @@ struct DistributedOptions {
   /// (tests/provenance_test.cpp gates both).
   LedgerSink* ledger = nullptr;
 };
+
+/// The centralized configuration a protocol run under `options` is
+/// bit-identical to: the staged plan on the fixed global schedule, with
+/// the same epsilon, raise rule, hmin, seed, MIS budget and steps per
+/// stage (the execution extras have no centralized counterpart).
+FrameworkConfig centralizedReference(const DistributedOptions& options);
 
 /// One phase-1 raise as executed, in raise order. Raises of one schedule
 /// tuple share the tuple index and form one stack set (members ascending),

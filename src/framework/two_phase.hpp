@@ -33,10 +33,6 @@ namespace treesched {
 
 /// Core algorithmic knobs of the two-phase engine (the "two-phase
 /// config").
-///
-/// Legacy per-layer view: new code builds a layered SchedulerConfig
-/// (policy/config.hpp) and projects with framework(); the one
-/// field-by-field mapping lives there.
 struct FrameworkConfig {
   double epsilon = 0.1;  ///< staged: lambda = 1-eps; threshold: 1/(5+eps)
   RaiseRule raise = RaiseRule::Unit;

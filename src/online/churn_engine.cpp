@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "decomp/layering.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
@@ -58,14 +57,7 @@ ChurnRunResult runChurnOverTrace(DynamicUniverse& universe,
                                  const ChurnEngineConfig& config) {
   const std::unique_ptr<Transport> transport = makeLiveTransport(
       universe.numDemands(), universe.access(), config.transport);
-  return runChurnOverTransport(universe, trace, config, *transport);
-}
-
-ChurnRunResult runChurnOverTransport(DynamicUniverse& universe,
-                                     const ChurnTrace& trace,
-                                     const ChurnEngineConfig& config,
-                                     Transport& transport) {
-  IncrementalSolver solver(universe, config.solver, transport);
+  IncrementalSolver solver(universe, config.solver, *transport);
   ChurnRunResult result;
   const std::vector<EpochBatch> batches =
       batchTrace(trace, config.epochLength);
@@ -106,18 +98,6 @@ ChurnRunResult runChurnOverTransport(DynamicUniverse& universe,
                           : 0.0;
   result.network = solver.transport().stats();
   return result;
-}
-
-ChurnRunResult runChurnTree(const TreeProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config) {
-  DynamicUniverse universe = makeDynamicTreeUniverse(pool);
-  return runChurnOverTrace(universe, trace, config);
-}
-
-ChurnRunResult runChurnLine(const LineProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config) {
-  DynamicUniverse universe = makeDynamicLineUniverse(pool);
-  return runChurnOverTrace(universe, trace, config);
 }
 
 }  // namespace treesched

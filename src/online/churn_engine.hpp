@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/line_problem.hpp"
-#include "core/tree_problem.hpp"
 #include "net/live_transport.hpp"
 #include "online/arrivals.hpp"
 #include "online/incremental.hpp"
@@ -85,19 +83,6 @@ struct ChurnRunResult {
 ChurnRunResult runChurnOverTrace(DynamicUniverse& universe,
                                  const ChurnTrace& trace,
                                  const ChurnEngineConfig& config);
-
-/// Same, over a caller-owned live transport (must expose one isolated
-/// endpoint per pool demand and support MutableTopology).
-ChurnRunResult runChurnOverTransport(DynamicUniverse& universe,
-                                     const ChurnTrace& trace,
-                                     const ChurnEngineConfig& config,
-                                     Transport& transport);
-
-/// Convenience entry points building the dynamic universe first.
-ChurnRunResult runChurnTree(const TreeProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config);
-ChurnRunResult runChurnLine(const LineProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config);
 
 /// Splits the trace into epoch batches of `epochLength` without running
 /// anything (exposed for tests and the demo): batch k holds the netted

@@ -39,6 +39,21 @@ std::uint64_t epochProtocolSeed(std::uint64_t solverSeed, std::int32_t epoch) {
                    static_cast<std::uint64_t>(epoch));
 }
 
+DistributedOptions epochProtocolOptions(const OnlineSolverConfig& config,
+                                        std::int32_t epoch) {
+  DistributedOptions options;
+  options.epsilon = config.epsilon;
+  options.rule = config.rule;
+  options.hmin = config.hmin;
+  options.seed = epochProtocolSeed(config.seed, epoch);
+  options.threads = config.threads;
+  options.misRoundBudget = config.misRoundBudget;
+  options.stepsPerStage = config.stepsPerStage;
+  options.tracer = config.tracer;
+  options.metrics = config.metrics;
+  return options;
+}
+
 IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
                                      const OnlineSolverConfig& config,
                                      Transport& transport)
@@ -62,8 +77,6 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
     latencyRegHist_ = &cfg_.metrics->histogram(
         "online.admission_latency_epochs", latencyBuckets());
     instancesLiveGauge_ = &cfg_.metrics->gauge("universe.instances_live");
-    extendUsCtr_ = &cfg_.metrics->counter("universe.extend_us");
-    gcUsCtr_ = &cfg_.metrics->counter("universe.gc_us");
     gcDemandsCtr_ = &cfg_.metrics->counter("universe.gc_demands");
     gcInstancesCtr_ = &cfg_.metrics->counter("universe.gc_instances");
   }
@@ -398,8 +411,6 @@ void IncrementalSolver::publishEpochTelemetry() {
   if (cfg_.metrics == nullptr) return;
   const UniverseStats stats = u_.stats();
   instancesLiveGauge_->set(static_cast<double>(u_.numLiveInstances()));
-  extendUsCtr_->add(stats.extendUs - prevStats_.extendUs);
-  gcUsCtr_->add(stats.gcUs - prevStats_.gcUs);
   gcDemandsCtr_->add(stats.gcDemands - prevStats_.gcDemands);
   gcInstancesCtr_->add(stats.gcInstances - prevStats_.gcInstances);
   prevStats_ = stats;
@@ -564,17 +575,8 @@ EpochOutcome IncrementalSolver::applyEpoch(
           : 0.0;
 
   if (!restricted_.empty()) {
-    DistributedOptions options;
-    options.epsilon = cfg_.epsilon;
-    options.rule = cfg_.rule;
-    options.hmin = cfg_.hmin;
-    options.seed = outcome.protocolSeed;
-    options.threads = cfg_.threads;
-    options.misRoundBudget = cfg_.misRoundBudget;
-    options.stepsPerStage = cfg_.stepsPerStage;
+    DistributedOptions options = epochProtocolOptions(cfg_, epoch_);
     options.recordRaiseLog = true;
-    options.tracer = cfg_.tracer;
-    options.metrics = cfg_.metrics;
 
     WarmStart warm;
     warm.activeInstances = restricted_;

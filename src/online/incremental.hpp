@@ -175,6 +175,13 @@ struct EpochOutcome {
 /// seed-comparable for a given solver seed.
 std::uint64_t epochProtocolSeed(std::uint64_t solverSeed, std::int32_t epoch);
 
+/// Protocol options of epoch `epoch` under `config`: the solver's
+/// algorithmic knobs, threads, tracer and registry, seeded with
+/// epochProtocolSeed. Each epoch loop adds what it needs on top (the
+/// incremental solver its raise log, the registry loop its ledger).
+DistributedOptions epochProtocolOptions(const OnlineSolverConfig& config,
+                                        std::int32_t epoch);
+
 /// Aggregate per-demand admission-latency statistics (epochs from
 /// arrival to first admission). Re-arrivals restart the clock and count
 /// as fresh admissions. Scope: demands the solver actually saw — a
@@ -325,10 +332,8 @@ class IncrementalSolver {
   Counter* admittedCtr_ = nullptr;
   Gauge* activeGauge_ = nullptr;
   Histogram* latencyRegHist_ = nullptr;
-  // Universe cost instruments (dynamic-universe maintenance telemetry).
+  // Universe instruments (dynamic-universe maintenance telemetry).
   Gauge* instancesLiveGauge_ = nullptr;
-  Counter* extendUsCtr_ = nullptr;
-  Counter* gcUsCtr_ = nullptr;
   Counter* gcDemandsCtr_ = nullptr;
   Counter* gcInstancesCtr_ = nullptr;
   /// Universe stats at the last publish — the per-epoch deltas feed the

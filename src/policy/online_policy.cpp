@@ -53,8 +53,6 @@ ChurnRunResult runChurnWithScheduler(const ScenarioProblem& problem,
   checkThat(registry.has(policyId), "known scheduler id for churn loop",
             __FILE__, __LINE__);
 
-  SchedulerConfig base = SchedulerConfig::fromOnlineSolver(config.solver);
-
   ChurnRunResult result;
   const std::vector<EpochBatch> batches =
       batchTrace(trace, config.epochLength);
@@ -110,10 +108,11 @@ ChurnRunResult runChurnWithScheduler(const ScenarioProblem& problem,
           activeInstancesOf(universe, mask);
       // Per-epoch seed, incremental-engine style: rebuild the scheduler
       // so every epoch's MIS priorities draw from its own keyed stream.
-      SchedulerConfig epochConfig = base;
-      epochConfig.core.seed = outcome.protocolSeed;
+      DistributedOptions options =
+          epochProtocolOptions(config.solver, epochIndex);
+      options.ledger = config.solver.ledger;
       const std::unique_ptr<Scheduler> scheduler =
-          registry.make(policyId, epochConfig);
+          registry.make(policyId, options);
       const ScheduleOutcome solved = scheduler->solve(
           {universe, layering, access, active, nullptr});
 

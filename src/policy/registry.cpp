@@ -71,7 +71,7 @@ const SchedulerInfo& SchedulerRegistry::info(const std::string& id) const {
 }
 
 std::unique_ptr<Scheduler> SchedulerRegistry::make(
-    const std::string& id, const SchedulerConfig& config) const {
+    const std::string& id, const DistributedOptions& options) const {
   const Entry* entry = find(id);
   if (entry == nullptr) {
     std::ostringstream message;
@@ -80,7 +80,7 @@ std::unique_ptr<Scheduler> SchedulerRegistry::make(
     message << ")";
     checkThat(false, message.str(), __FILE__, __LINE__);
   }
-  return entry->factory(config);
+  return entry->factory(options);
 }
 
 const SchedulerRegistry::Entry* SchedulerRegistry::find(

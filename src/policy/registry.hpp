@@ -6,7 +6,7 @@
 // hardcoding entry points:
 //
 //   for (const auto& id : SchedulerRegistry::all().ids(std::regex(".*")))
-//     auto outcome = SchedulerRegistry::all().make(id, config)->solve(ctx);
+//     auto outcome = SchedulerRegistry::all().make(id, options)->solve(ctx);
 //
 // Built-in ids (policy/schedulers.cpp):
 //   two_phase              — the paper's two-phase LP-dual protocol run
@@ -29,7 +29,7 @@
 //                            objective (policy/line_pack.hpp).
 //
 // The raise-policy axis (§6 narrow rule) is selected through
-// SchedulerConfig::core.rule rather than a registered id: the narrow
+// DistributedOptions::rule rather than a registered id: the narrow
 // rule is only defined over narrow (height <= 1/2) instances, so it
 // cannot run on the unit-height preset catalogue every registered id
 // must survive.
@@ -53,7 +53,7 @@ namespace treesched {
 class SchedulerRegistry {
  public:
   using Factory =
-      std::function<std::unique_ptr<Scheduler>(const SchedulerConfig&)>;
+      std::function<std::unique_ptr<Scheduler>(const DistributedOptions&)>;
 
   /// The process-wide registry, built-ins registered on first use.
   static SchedulerRegistry& all();
@@ -71,10 +71,12 @@ class SchedulerRegistry {
   /// Metadata of one id; throws CheckError when unknown.
   const SchedulerInfo& info(const std::string& id) const;
 
-  /// Instantiates the scheduler behind `id` with `config`; throws
-  /// CheckError (listing the known ids) when unknown.
+  /// Instantiates the scheduler behind `id` with `options`; throws
+  /// CheckError (listing the known ids) when unknown. The two-phase
+  /// ids run the fixed global schedule, so `two_phase` is bit-identical
+  /// to runTwoPhase under centralizedReference(options).
   std::unique_ptr<Scheduler> make(const std::string& id,
-                                  const SchedulerConfig& config = {}) const;
+                                  const DistributedOptions& options = {}) const;
 
  private:
   struct Entry {

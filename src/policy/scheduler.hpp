@@ -17,13 +17,13 @@
 // Contract every implementation must honour:
 //  * the returned solution is feasible on the universe and uses only
 //    instances from `context.active`;
-//  * the run is deterministic in (universe, active, config) — all
+//  * the run is deterministic in (universe, active, options) — all
 //    randomness is keyed hashing, so repeated solves are bit-identical
 //    at any thread count;
 //  * `messages`/`rounds` cover exactly the traffic this solve caused.
 //
 // Schedulers are addressable by id string through SchedulerRegistry
-// (policy/registry.hpp); `SchedulerRegistry::all().make(id, config)` is
+// (policy/registry.hpp); `SchedulerRegistry::all().make(id, options)` is
 // the single public entry surface for "run a scheduler".
 #pragma once
 
@@ -35,8 +35,8 @@
 #include "core/solution.hpp"
 #include "core/universe.hpp"
 #include "decomp/layering.hpp"
+#include "dist/protocol.hpp"
 #include "net/transport.hpp"
-#include "policy/config.hpp"
 
 namespace treesched {
 

@@ -8,7 +8,7 @@
 // axes: the exhaustive-Luby MIS variant, the Panconesi–Sozio threshold
 // schedule (centralized engine — the distributed protocol implements
 // the staged plan only) and a local-search admission post-pass; the
-// raise-policy axis (§6 narrow rule) is a SchedulerConfig::core.rule
+// raise-policy axis (§6 narrow rule) is a DistributedOptions::rule
 // choice since it only runs on narrow-height universes.
 //
 // The baselines (greedy, greedy/local_search, emr_line_pack) are
@@ -30,23 +30,21 @@
 namespace treesched {
 namespace {
 
-/// Shared plumbing: resolve the active set, run, fill the outcome.
+/// Shared plumbing: the registered metadata.
 class SchedulerBase : public Scheduler {
  public:
-  explicit SchedulerBase(SchedulerInfo info, SchedulerConfig config)
-      : info_(std::move(info)), config_(std::move(config)) {}
+  explicit SchedulerBase(SchedulerInfo info) : info_(std::move(info)) {}
 
   const SchedulerInfo& info() const override { return info_; }
 
  protected:
   SchedulerInfo info_;
-  SchedulerConfig config_;
 };
 
 // ---- two_phase family ---------------------------------------------------
 
 /// Which policy-axis variant a TwoPhaseScheduler instantiates. The
-/// raise rule itself comes from SchedulerConfig::core.rule (the narrow
+/// raise rule itself comes from DistributedOptions::rule (the narrow
 /// rule only runs on narrow-height universes, so it is a config choice,
 /// not a registered id).
 struct TwoPhaseVariant {
@@ -59,17 +57,18 @@ struct TwoPhaseVariant {
 
 class TwoPhaseScheduler : public SchedulerBase {
  public:
-  TwoPhaseScheduler(SchedulerInfo info, SchedulerConfig config,
+  TwoPhaseScheduler(SchedulerInfo info, DistributedOptions options,
                     TwoPhaseVariant variant)
-      : SchedulerBase(std::move(info), std::move(config)),
+      : SchedulerBase(std::move(info)),
+        options_(std::move(options)),
         variant_(variant) {
     // The §6 narrow stage plan is only defined for hmin in (0, 1/2];
-    // clamp to the boundary when a narrow-rule config arrives with the
+    // clamp to the boundary when narrow-rule options arrive with the
     // generic default (1.0).
-    if (config_.core.rule == RaiseRule::Narrow && config_.core.hmin > 0.5) {
-      config_.core.hmin = 0.5;
+    if (options_.rule == RaiseRule::Narrow && options_.hmin > 0.5) {
+      options_.hmin = 0.5;
     }
-    if (variant_.exhaustiveMis) config_.core.misRoundBudget = 0;
+    if (variant_.exhaustiveMis) options_.misRoundBudget = 0;
   }
 
   ScheduleOutcome solve(const ScheduleContext& context) override {
@@ -100,9 +99,8 @@ class TwoPhaseScheduler : public SchedulerBase {
   void solveCentralized(const ScheduleContext& context,
                         std::span<const InstanceId> active,
                         ScheduleOutcome& outcome) const {
-    FrameworkConfig config = config_.framework();
+    FrameworkConfig config = centralizedReference(options_);
     config.schedule = variant_.schedule;
-    config.fixedSchedule = true;
     TwoPhaseResult result = runTwoPhaseRestricted(
         context.universe, context.layering, config, active);
     outcome.solution = std::move(result.solution);
@@ -117,8 +115,6 @@ class TwoPhaseScheduler : public SchedulerBase {
   void solveDistributed(const ScheduleContext& context,
                         std::span<const InstanceId> active,
                         ScheduleOutcome& outcome) const {
-    DistributedOptions options = config_.distributedOptions();
-
     WarmStart warm;
     warm.activeInstances.assign(active.begin(), active.end());
 
@@ -128,14 +124,14 @@ class TwoPhaseScheduler : public SchedulerBase {
       // this solve, not the transport's cumulative accounting.
       const NetworkStats before = context.transport->stats();
       result = runDistributedWarmStart(context.universe, context.layering,
-                                       *context.transport, options, warm);
+                                       *context.transport, options_, warm);
       outcome.rounds = result.network.rounds - before.rounds;
       outcome.messages = result.network.messages - before.messages;
     } else {
       SimNetwork bus(communicationGraph(
           context.access, context.universe.numNetworks()));
       result = runDistributedWarmStart(context.universe, context.layering,
-                                       bus, options, warm);
+                                       bus, options_, warm);
       outcome.rounds = result.network.rounds;
       outcome.messages = result.network.messages;
     }
@@ -146,6 +142,7 @@ class TwoPhaseScheduler : public SchedulerBase {
     outcome.raises = result.raises;
   }
 
+  DistributedOptions options_;
   TwoPhaseVariant variant_;
 };
 
@@ -153,10 +150,8 @@ class TwoPhaseScheduler : public SchedulerBase {
 
 class GreedyScheduler : public SchedulerBase {
  public:
-  GreedyScheduler(SchedulerInfo info, SchedulerConfig config,
-                  bool localSearch)
-      : SchedulerBase(std::move(info), std::move(config)),
-        localSearch_(localSearch) {}
+  GreedyScheduler(SchedulerInfo info, bool localSearch)
+      : SchedulerBase(std::move(info)), localSearch_(localSearch) {}
 
   ScheduleOutcome solve(const ScheduleContext& context) override {
     std::vector<InstanceId> storage;
@@ -206,9 +201,9 @@ namespace detail {
 void registerBuiltinSchedulers(SchedulerRegistry& registry) {
   const auto twoPhase = [](SchedulerInfo info, TwoPhaseVariant variant) {
     return [info = std::move(info),
-            variant](const SchedulerConfig& config)
+            variant](const DistributedOptions& options)
                -> std::unique_ptr<Scheduler> {
-      return std::make_unique<TwoPhaseScheduler>(info, config, variant);
+      return std::make_unique<TwoPhaseScheduler>(info, options, variant);
     };
   };
 
@@ -243,27 +238,27 @@ void registerBuiltinSchedulers(SchedulerRegistry& registry) {
   SchedulerInfo greedy{"greedy",
                        "profit-greedy baseline (centralized, no guarantee)",
                        /*certified=*/false, /*distributed=*/false};
-  registry.add(greedy, [greedy](const SchedulerConfig& config)
+  registry.add(greedy, [greedy](const DistributedOptions&)
                            -> std::unique_ptr<Scheduler> {
-    return std::make_unique<GreedyScheduler>(greedy, config, false);
+    return std::make_unique<GreedyScheduler>(greedy, false);
   });
 
   SchedulerInfo greedyLs{
       "greedy/local_search",
       "profit-greedy + ADD/SWAP local search (centralized baseline)",
       /*certified=*/false, /*distributed=*/false};
-  registry.add(greedyLs, [greedyLs](const SchedulerConfig& config)
+  registry.add(greedyLs, [greedyLs](const DistributedOptions&)
                              -> std::unique_ptr<Scheduler> {
-    return std::make_unique<GreedyScheduler>(greedyLs, config, true);
+    return std::make_unique<GreedyScheduler>(greedyLs, true);
   });
 
   SchedulerInfo linePack{
       "emr_line_pack",
       "Even-Medina-Rosen-style density-class packing adapted to revenue",
       /*certified=*/false, /*distributed=*/false};
-  registry.add(linePack, [linePack](const SchedulerConfig& config)
+  registry.add(linePack, [linePack](const DistributedOptions&)
                              -> std::unique_ptr<Scheduler> {
-    return std::make_unique<LinePackScheduler>(linePack, config);
+    return std::make_unique<LinePackScheduler>(linePack);
   });
 }
 

@@ -50,7 +50,6 @@
 #include "online/incremental.hpp"
 
 // Policy registry: the pluggable Scheduler API over every solver.
-#include "policy/config.hpp"
 #include "policy/line_pack.hpp"
 #include "policy/online_policy.hpp"
 #include "policy/registry.hpp"

@@ -26,13 +26,13 @@ namespace {
 constexpr std::int32_t kOneshotDemands = 120;
 constexpr std::int32_t kChurnDemands = 80;
 
-SchedulerConfig testConfig(std::uint64_t seed) {
-  SchedulerConfig config;
-  config.core.seed = seed;
-  config.core.epsilon = 0.3;
-  config.core.misRoundBudget = 4;
-  config.core.stepsPerStage = 2;
-  return config;
+DistributedOptions testOptions(std::uint64_t seed) {
+  DistributedOptions options;
+  options.seed = seed;
+  options.epsilon = 0.3;
+  options.misRoundBudget = 4;
+  options.stepsPerStage = 2;
+  return options;
 }
 
 TEST(SchedulerRegistry, SanityUniqueNonEmptyAndRegexFilter) {
@@ -67,7 +67,7 @@ TEST(SchedulerRegistry, DuplicateRegistrationThrows) {
   SchedulerInfo clash{"two_phase", "clash", true, true};
   EXPECT_THROW(
       registry.add(clash,
-                   [](const SchedulerConfig&) -> std::unique_ptr<Scheduler> {
+                   [](const DistributedOptions&) -> std::unique_ptr<Scheduler> {
                      return nullptr;
                    }),
       CheckError);
@@ -81,7 +81,7 @@ TEST(SchedulerContract, EveryPolicyFeasibleOnEveryPreset) {
     const ScenarioProblem scenario =
         buildScenarioProblem(preset.name, 11, kOneshotDemands);
     for (const std::string& id : registry.ids()) {
-      const auto scheduler = registry.make(id, testConfig(11));
+      const auto scheduler = registry.make(id, testOptions(11));
       const ScheduleOutcome outcome = scheduler->solve(
           {scenario.universe, scenario.layering, scenario.access, {},
            nullptr});
@@ -93,7 +93,7 @@ TEST(SchedulerContract, EveryPolicyFeasibleOnEveryPreset) {
 
       // Determinism: a second instantiation replays bit-identically.
       const ScheduleOutcome again =
-          registry.make(id, testConfig(11))
+          registry.make(id, testOptions(11))
               ->solve({scenario.universe, scenario.layering, scenario.access,
                        {}, nullptr});
       EXPECT_EQ(outcome.solution.instances, again.solution.instances);
@@ -117,7 +117,7 @@ TEST(SchedulerContract, RestrictionIsHonoured) {
   const std::set<InstanceId> allowed(active.begin(), active.end());
 
   for (const std::string& id : SchedulerRegistry::all().ids()) {
-    const auto scheduler = SchedulerRegistry::all().make(id, testConfig(5));
+    const auto scheduler = SchedulerRegistry::all().make(id, testOptions(5));
     const ScheduleOutcome outcome = scheduler->solve(
         {scenario.universe, scenario.layering, scenario.access, active,
          nullptr});
@@ -136,10 +136,10 @@ TEST(SchedulerContract, DeterministicAcrossThreadCounts) {
     const ScenarioProblem scenario =
         buildScenarioProblem(preset, 3, kOneshotDemands);
     for (const std::string& id : SchedulerRegistry::all().ids()) {
-      SchedulerConfig one = testConfig(3);
-      one.distributed.threads = 1;
-      SchedulerConfig eight = testConfig(3);
-      eight.distributed.threads = 8;
+      DistributedOptions one = testOptions(3);
+      one.threads = 1;
+      DistributedOptions eight = testOptions(3);
+      eight.threads = 8;
       const ScheduleOutcome a =
           SchedulerRegistry::all().make(id, one)->solve(
               {scenario.universe, scenario.layering, scenario.access, {},
@@ -167,14 +167,14 @@ TEST(SchedulerContract, TwoPhaseEntryMatchesDirectRunTwoPhase) {
        {"cdn_tree_250k", "metro_line_100k", "lossy_wide_area_tree"}) {
     const ScenarioProblem scenario =
         buildScenarioProblem(preset, 17, kOneshotDemands);
-    const SchedulerConfig config = testConfig(17);
+    const DistributedOptions options = testOptions(17);
     const ScheduleOutcome viaRegistry =
-        SchedulerRegistry::all().make("two_phase", config)
+        SchedulerRegistry::all().make("two_phase", options)
             ->solve({scenario.universe, scenario.layering, scenario.access,
                      {}, nullptr});
 
     const TwoPhaseResult direct = runTwoPhase(
-        scenario.universe, scenario.layering, config.framework());
+        scenario.universe, scenario.layering, centralizedReference(options));
     std::vector<InstanceId> directSorted = direct.solution.instances;
     std::sort(directSorted.begin(), directSorted.end());
 

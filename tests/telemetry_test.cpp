@@ -1,8 +1,9 @@
 // The telemetry plane (src/obs/) must be read-only: attaching a live
 // trace sink and a metrics registry changes nothing about the schedule,
 // the NullSink path adds zero hot-loop heap allocations, histogram
-// percentiles agree with a sorted-sample oracle, and the registry's
-// counters cross-check against the run-level result fields.
+// percentiles agree with a sorted-sample oracle, the registry's
+// counters cross-check against the run-level result fields, and a
+// registry snapshot holds no wall clock (identical runs, identical JSON).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -168,6 +169,62 @@ TEST(Telemetry, RegistryCountersMatchRunResult) {
                               Histogram::exponentialBuckets(1, 2, 18))
                 .count(),
             result.activeSteps);
+}
+
+/// A short sharded churn run on the hotspot pool (rebalancing on), the
+/// shared workload of the churn-level registry gates below.
+ChurnRunResult runHotspotChurn(std::int32_t threads,
+                               MetricsRegistry& metrics) {
+  const ChurnTreeScenario scenario = makeHotspotTree50k(41, 72);
+  ArrivalConfig arrivals = scenario.arrivals;
+  arrivals.horizon = 48.0;
+  const ChurnTrace trace =
+      generateChurnTrace(arrivals, scenario.pool.access);
+  ChurnEngineConfig config;
+  config.epochLength = 8.0;
+  config.solver.seed = 42;
+  config.solver.threads = threads;
+  config.solver.metrics = &metrics;
+  config.solver.rebalance.enabled = true;
+  config.solver.rebalance.seed = 43;
+  config.transport.kind = LiveTransportKind::Sharded;
+  config.transport.async.shardProcessors = 5;
+  DynamicUniverse universe = makeDynamicTreeUniverse(scenario.pool);
+  return runChurnOverTrace(universe, trace, config);
+}
+
+TEST(Telemetry, EngineClaimsCounterMatchesRunResult) {
+  // Every shard the engine's runner executes — the per-processor
+  // context build included — reaches the registry's engine.claims.
+  const TreeProblem tree = testTree(23);
+  MetricsRegistry oneShot;
+  DistributedOptions opt;
+  opt.seed = 24;
+  opt.threads = 8;
+  opt.metrics = &oneShot;
+  const DistributedResult result = runDistributedUnitTree(tree, opt);
+  EXPECT_GT(result.engineClaims, 0);
+  EXPECT_EQ(oneShot.counter("engine.claims").value(), result.engineClaims);
+
+  MetricsRegistry churnMetrics;
+  const ChurnRunResult churn = runHotspotChurn(8, churnMetrics);
+  std::int64_t epochClaims = 0;
+  for (const EpochOutcome& epoch : churn.epochs) {
+    epochClaims += epoch.engineClaims;
+  }
+  EXPECT_GT(epochClaims, 0);
+  EXPECT_EQ(churnMetrics.counter("engine.claims").value(), epochClaims);
+}
+
+TEST(Telemetry, RegistrySnapshotIsDeterministic) {
+  // No wall clock lives in the registry, so two identical runs give the
+  // same snapshot byte for byte. One thread: engine.steals depends on
+  // thread timing.
+  MetricsRegistry first;
+  MetricsRegistry second;
+  runHotspotChurn(1, first);
+  runHotspotChurn(1, second);
+  EXPECT_EQ(first.toJson(), second.toJson());
 }
 
 TEST(Telemetry, HistogramPercentilesMatchSortedOracle) {
