@@ -11,7 +11,7 @@
 //     decomposition removes.
 #include <iostream>
 
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "gen/scenario.hpp"
 #include "util/cli.hpp"
@@ -37,9 +37,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("n", 96, "vertices per tree");
   flags.intFlag("seeds", 3, "instances per variant");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto n = static_cast<std::int32_t>(flags.getInt("n"));
   const auto seeds = flags.getInt("seeds");
 
@@ -79,7 +77,7 @@ int main(int argc, char** argv) {
       options.seed = static_cast<std::uint64_t>(s) + 7;
       options.schedule = v.schedule;
       options.decomposition = v.decomposition;
-      const TreeSolveResult r = solveUnitTree(problem, options);
+      const auto r = solveUnit(problem, options);
       table.row()
           .cell(v.name)
           .cell(s)
@@ -93,6 +91,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

@@ -6,7 +6,7 @@
 // the combine step chooses from.
 #include <iostream>
 
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "core/universe.hpp"
 #include "gen/scenario.hpp"
@@ -18,9 +18,7 @@ using namespace treesched;
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seeds", 3, "seeds per configuration");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seeds = flags.getInt("seeds");
 
   bench::banner(
@@ -55,7 +53,7 @@ int main(int argc, char** argv) {
       SolverOptions options;
       options.seed = cfg.seed + 1;
       options.hmin = c.hmin;
-      const ArbitraryTreeResult result = solveArbitraryTree(problem, options);
+      const auto result = solveArbitrary(problem, options);
 
       InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
       const bench::OptEstimate opt =
@@ -85,6 +83,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

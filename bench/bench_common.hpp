@@ -122,8 +122,10 @@ class JsonReport {
   std::vector<Row> rows_;
 };
 
-/// The --trace/--metrics wiring shared by every bench binary: addFlags()
-/// registers the flags, the constructor opens the Chrome-trace sink when
+/// The --trace/--metrics wiring shared by the bench binaries whose runs
+/// publish into the telemetry plane (bench_dist, bench_async,
+/// bench_parallel, bench_online, bench_tournament): addFlags() registers
+/// the flags, the constructor opens the Chrome-trace sink when
 /// --trace=FILE was given, tracer() hands the (possibly null) Tracer to
 /// the run, and finish() flushes the trace file and logs its path.
 ///
@@ -172,14 +174,5 @@ class Telemetry {
   Tracer tracer_;
   bool printMetrics_ = false;
 };
-
-/// For experiments that only exercise the centralized solvers (no
-/// telemetry-plane layer runs): honors --metrics with an explicitly
-/// empty snapshot and flushes the (empty) trace, so every bench binary
-/// shares the same telemetry interface.
-inline void finishUninstrumented(Telemetry& telemetry) {
-  if (telemetry.printMetrics()) std::cout << MetricsRegistry().describe();
-  telemetry.finish();
-}
 
 }  // namespace treesched::bench

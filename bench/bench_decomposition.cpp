@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("max-n", 4096, "largest tree size in the sweep");
   flags.intFlag("seed", 1, "base RNG seed");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
 
   bench::banner(
       "E1",
@@ -73,6 +71,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

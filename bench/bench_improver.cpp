@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "core/universe.hpp"
 #include "exact/greedy.hpp"
@@ -39,9 +39,7 @@ Solution solutionFromAssignments(const InstanceUniverse& u,
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seeds", 3, "instances per configuration");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seeds = flags.getInt("seeds");
 
   bench::banner(
@@ -72,7 +70,7 @@ int main(int argc, char** argv) {
 
       SolverOptions options;
       options.seed = cfg.seed + 1;
-      const TreeSolveResult dist = solveUnitTree(problem, options);
+      const auto dist = solveUnit(problem, options);
       const SequentialTreeResult seq = solveSequentialTree(problem);
       const GreedyResult greedy = greedyByProfit(u);
 
@@ -105,6 +103,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

@@ -17,9 +17,7 @@ using namespace treesched;
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seed", 1, "base RNG seed");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed"));
 
   bench::banner(
@@ -91,6 +89,5 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

@@ -7,7 +7,7 @@
 // the gap isolates the staged-slackness contribution.
 #include <iostream>
 
-#include "algo/line_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "core/universe.hpp"
 #include "gen/scenario.hpp"
@@ -19,9 +19,7 @@ using namespace treesched;
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seeds", 3, "seeds per configuration");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seeds = flags.getInt("seeds");
 
   bench::banner(
@@ -58,9 +56,10 @@ int main(int argc, char** argv) {
       SolverOptions options;
       options.seed = cfg.seed + 1;
       options.hmin = c.hmin;
-      const ArbitraryLineResult ours = solveArbitraryLine(problem, options);
-      const ArbitraryLineResult ps =
-          solvePanconesiSozioArbitraryLine(problem, options);
+      const auto ours = solveArbitrary(problem, options);
+      SolverOptions psOptions = options;
+      psOptions.schedule = SchedulePolicy::Threshold;
+      const auto ps = solveArbitrary(problem, psOptions);
 
       std::string optCell = "-";
       if (c.m <= 8) {
@@ -86,6 +85,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

@@ -8,7 +8,7 @@
 // (small instances / single-resource DP) and profit-greedy.
 #include <iostream>
 
-#include "algo/line_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "core/universe.hpp"
 #include "exact/greedy.hpp"
@@ -23,9 +23,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seeds", 3, "seeds per configuration");
   flags.doubleFlag("epsilon", 0.1, "approximation slack");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seeds = flags.getInt("seeds");
   const double epsilon = flags.getDouble("epsilon");
 
@@ -63,8 +61,10 @@ int main(int argc, char** argv) {
       SolverOptions options;
       options.epsilon = epsilon;
       options.seed = cfg.seed + 1;
-      const LineSolveResult ours = solveUnitLine(problem, options);
-      const LineSolveResult ps = solvePanconesiSozioUnitLine(problem, options);
+      const auto ours = solveUnit(problem, options);
+      SolverOptions psOptions = options;
+      psOptions.schedule = SchedulePolicy::Threshold;
+      const auto ps = solveUnit(problem, psOptions);
 
       InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
       const GreedyResult greedy = greedyByProfit(universe);
@@ -93,6 +93,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

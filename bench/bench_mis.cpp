@@ -20,9 +20,7 @@ using namespace treesched;
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seeds", 8, "MIS seeds per graph");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seeds = flags.getInt("seeds");
 
   bench::banner(
@@ -67,6 +65,5 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::int64_t>(4 * std::ceil(lg) + 8));
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

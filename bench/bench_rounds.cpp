@@ -9,7 +9,7 @@
 // own log-factor and is flat in the others.
 #include <iostream>
 
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "gen/scenario.hpp"
 #include "util/cli.hpp"
@@ -19,8 +19,9 @@ using namespace treesched;
 
 namespace {
 
-TreeSolveResult solve(std::int32_t n, std::int32_t m, double epsilon,
-                      double pmax, std::uint64_t seed) {
+SolveResult<TreeAssignment> solve(std::int32_t n, std::int32_t m,
+                                  double epsilon, double pmax,
+                                  std::uint64_t seed) {
   TreeScenarioConfig cfg;
   cfg.seed = seed;
   cfg.numVertices = n;
@@ -32,11 +33,11 @@ TreeSolveResult solve(std::int32_t n, std::int32_t m, double epsilon,
   SolverOptions options;
   options.epsilon = epsilon;
   options.seed = seed + 1;
-  return solveUnitTree(problem, options);
+  return solveUnit(problem, options);
 }
 
 void emitRow(Table& table, const std::string& sweep, const std::string& value,
-             const TreeSolveResult& r) {
+             const SolveResult<TreeAssignment>& r) {
   table.row()
       .cell(sweep)
       .cell(value)
@@ -53,9 +54,7 @@ void emitRow(Table& table, const std::string& sweep, const std::string& value,
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seed", 21, "RNG seed");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed"));
 
   bench::banner(
@@ -85,6 +84,5 @@ int main(int argc, char** argv) {
             solve(64, 128, 0.1, pmax, seed + 2000));
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

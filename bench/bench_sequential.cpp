@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "core/universe.hpp"
 #include "gen/scenario.hpp"
@@ -19,9 +19,7 @@ using namespace treesched;
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seeds", 3, "seeds per configuration");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seeds = flags.getInt("seeds");
 
   bench::banner(
@@ -54,7 +52,7 @@ int main(int argc, char** argv) {
       const SequentialTreeResult seq = solveSequentialTree(problem);
       SolverOptions options;
       options.seed = cfg.seed + 1;
-      const TreeSolveResult dist = solveUnitTree(problem, options);
+      const auto dist = solveUnit(problem, options);
 
       InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
       const bench::OptEstimate opt =
@@ -77,6 +75,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

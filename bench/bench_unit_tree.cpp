@@ -6,7 +6,7 @@
 // Also compares against the profit-greedy baseline.
 #include <iostream>
 
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "bench_common.hpp"
 #include "core/universe.hpp"
 #include "exact/greedy.hpp"
@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.intFlag("seeds", 3, "seeds per configuration");
   flags.doubleFlag("epsilon", 0.1, "approximation slack");
-  bench::Telemetry::addFlags(flags);
   if (!flags.parse(argc, argv)) return 0;
-  bench::Telemetry telemetry(flags);
   const auto seeds = flags.getInt("seeds");
   const double epsilon = flags.getDouble("epsilon");
 
@@ -56,7 +54,7 @@ int main(int argc, char** argv) {
       SolverOptions options;
       options.epsilon = epsilon;
       options.seed = cfg.seed + 1;
-      const TreeSolveResult result = solveUnitTree(problem, options);
+      const auto result = solveUnit(problem, options);
 
       InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
       const bench::OptEstimate opt =
@@ -79,6 +77,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  bench::finishUninstrumented(telemetry);
   return 0;
 }

@@ -4,12 +4,12 @@
 //   1. describe the networks (trees over a shared vertex set);
 //   2. describe the demands (vertex pairs + profits) and which networks
 //      each one may use;
-//   3. call solveUnitTree() — the paper's distributed (7+eps)-approximation
+//   3. call solveUnit() — the paper's distributed (7+eps)-approximation
 //      (Chakaravarthy, Roy, Sabharwal, PODC 2012) — and read out the
 //      assignments plus the per-run optimality certificate.
 #include <iostream>
 
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 
 using namespace treesched;
 
@@ -50,7 +50,7 @@ int main() {
   options.epsilon = 0.1;  // approximation slack: guarantee (7+eps)
   options.seed = 2026;
 
-  const TreeSolveResult result = solveUnitTree(problem, options);
+  const auto result = solveUnit(problem, options);
 
   std::cout << "scheduled " << result.assignments.size() << " of "
             << problem.numDemands() << " demands, profit " << result.profit

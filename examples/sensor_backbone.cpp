@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/universe.hpp"
 #include "decomp/tree_decomposition.hpp"
 #include "exact/greedy.hpp"
@@ -53,7 +53,7 @@ int main() {
 
   SolverOptions options;
   options.seed = 1;
-  const TreeSolveResult dist = solveUnitTree(field, options);
+  const auto dist = solveUnit(field, options);
   const SequentialTreeResult seq = solveSequentialTree(field);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(field);
   const GreedyResult greedy = greedyByProfit(universe);

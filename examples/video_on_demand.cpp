@@ -10,7 +10,7 @@
 // bookings for comparison.
 #include <iostream>
 
-#include "algo/line_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "gen/demand_gen.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -68,9 +68,10 @@ int main() {
   SolverOptions options;
   options.epsilon = 0.1;
   options.seed = 99;
-  const ArbitraryLineResult ours = solveArbitraryLine(bookings, options);
-  const ArbitraryLineResult baseline =
-      solvePanconesiSozioArbitraryLine(bookings, options);
+  const auto ours = solveArbitrary(bookings, options);
+  SolverOptions baselineOptions = options;
+  baselineOptions.schedule = SchedulePolicy::Threshold;
+  const auto baseline = solveArbitrary(bookings, baselineOptions);
 
   std::cout << "admitted " << ours.assignments.size() << " of "
             << bookings.numDemands() << " bookings\n\n";

@@ -29,8 +29,8 @@ int main() {
 
   SolverOptions options;
   options.seed = 9;
-  const ArbitraryTreeResult a = solveArbitraryTree(original, options);
-  const ArbitraryTreeResult b = solveArbitraryTree(reloaded, options);
+  const auto a = solveArbitrary(original, options);
+  const auto b = solveArbitrary(reloaded, options);
 
   std::cout << "profit on original: " << a.profit
             << ", on reloaded: " << b.profit << "\n";

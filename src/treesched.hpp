@@ -21,9 +21,8 @@
 
 // Solvers (paper §5-§7, Appendix A) and baselines.
 #include "algo/assignments.hpp"
-#include "algo/line_solvers.hpp"
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 
 // Distributed message-passing execution (paper §5).
 #include "dist/protocol.hpp"

@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algo/assignments.hpp"
-#include "algo/line_solvers.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/universe.hpp"
 #include "framework/schedule.hpp"
 #include "util/check.hpp"
@@ -198,10 +197,10 @@ TEST(ConfigValidation, UniverseGuardsIndexing) {
 TEST(ConfigValidation, SolversValidateInput) {
   TreeProblem p = validTreeProblem();
   p.demands[0].profit = -1.0;
-  EXPECT_THROW(solveUnitTree(p), CheckError);
+  EXPECT_THROW(solveUnit(p), CheckError);
   LineProblem lp = validLineProblem();
   lp.demands[0].processing = 0;
-  EXPECT_THROW(solveUnitLine(lp), CheckError);
+  EXPECT_THROW(solveUnit(lp), CheckError);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/universe.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/greedy.hpp"
@@ -106,7 +106,7 @@ TEST(LocalSearch, ImprovesDistributedSolverOutput) {
   cfg.numNetworks = 3;
   cfg.demands.numDemands = 40;
   const TreeProblem problem = makeTreeScenario(cfg);
-  const TreeSolveResult solver = solveUnitTree(problem);
+  const auto solver = solveUnit(problem);
 
   // Rebuild the solver's solution at universe level.
   const InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);

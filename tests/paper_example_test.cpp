@@ -7,7 +7,7 @@
 #include <algorithm>
 
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/universe.hpp"
 #include "decomp/layering.hpp"
 #include "decomp/tree_decomposition.hpp"
@@ -194,7 +194,7 @@ TEST(PaperExample, LayeringOnExampleTreeSatisfiesInterference) {
 TEST(PaperExample, AllSolversAgreeOnFeasibilityAndBounds) {
   TreeProblem problem = exampleProblem();
   const SequentialTreeResult seq = solveSequentialTree(problem);
-  const TreeSolveResult dist = solveUnitTree(problem);
+  const auto dist = solveUnit(problem);
   InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
   const ExactResult exact = bruteForceExact(u);
   ASSERT_TRUE(exact.provedOptimal);

@@ -8,9 +8,8 @@
 
 #include <string>
 
-#include "algo/line_solvers.hpp"
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/universe.hpp"
 #include "exact/brute_force.hpp"
 #include "gen/scenario.hpp"
@@ -59,7 +58,7 @@ TEST_P(TreeSolverGrid, GuaranteesHoldAgainstExactOptimum) {
   ASSERT_TRUE(exact.provedOptimal);
 
   if (param.heights == HeightMode::Unit) {
-    const TreeSolveResult r = solveUnitTree(problem);
+    const auto r = solveUnit(problem);
     EXPECT_EQ(checkAssignments(problem, r.assignments), "");
     EXPECT_GE(r.profit * r.certifiedBound, exact.profit - 1e-6);
     EXPECT_LE(r.profit, exact.profit + 1e-6);
@@ -70,11 +69,16 @@ TEST_P(TreeSolverGrid, GuaranteesHoldAgainstExactOptimum) {
     EXPECT_EQ(checkAssignments(problem, seq.assignments), "");
     EXPECT_GE(seq.profit * seq.certifiedBound, exact.profit - 1e-6);
   } else {
-    const ArbitraryTreeResult r = solveArbitraryTree(problem);
-    EXPECT_EQ(checkAssignments(problem, r.assignments), "");
-    EXPECT_GE(r.profit * r.certifiedBound, exact.profit - 1e-6);
-    EXPECT_LE(r.profit, exact.profit + 1e-6);
-    EXPECT_GE(r.dualUpperBound, exact.profit - 1e-6);
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::Staged, SchedulePolicy::Threshold}) {
+      SolverOptions options;
+      options.schedule = policy;
+      const auto r = solveArbitrary(problem, options);
+      EXPECT_EQ(checkAssignments(problem, r.assignments), "");
+      EXPECT_GE(r.profit * r.certifiedBound, exact.profit - 1e-6);
+      EXPECT_LE(r.profit, exact.profit + 1e-6);
+      EXPECT_GE(r.dualUpperBound, exact.profit - 1e-6);
+    }
   }
 }
 
@@ -140,14 +144,14 @@ TEST_P(LineSolverGrid, GuaranteesHoldAgainstExactOptimum) {
          {SchedulePolicy::Staged, SchedulePolicy::Threshold}) {
       SolverOptions options;
       options.schedule = policy;
-      const LineSolveResult r = solveUnitLine(problem, options);
+      const auto r = solveUnit(problem, options);
       EXPECT_EQ(checkAssignments(problem, r.assignments), "");
       EXPECT_GE(r.profit * r.certifiedBound, exact.profit - 1e-6);
       EXPECT_LE(r.profit, exact.profit + 1e-6);
       EXPECT_GE(r.dualUpperBound, exact.profit - 1e-6);
     }
   } else {
-    const ArbitraryLineResult r = solveArbitraryLine(problem);
+    const auto r = solveArbitrary(problem);
     EXPECT_EQ(checkAssignments(problem, r.assignments), "");
     EXPECT_GE(r.profit * r.certifiedBound, exact.profit - 1e-6);
     EXPECT_GE(r.dualUpperBound, exact.profit - 1e-6);
@@ -184,12 +188,12 @@ TEST(Invariance, ProfitScaling) {
   cfg.numNetworks = 2;
   cfg.demands.numDemands = 14;
   TreeProblem problem = makeTreeScenario(cfg);
-  const TreeSolveResult base = solveUnitTree(problem);
+  const auto base = solveUnit(problem);
 
   for (Demand& d : problem.demands) {
     d.profit *= 10.0;
   }
-  const TreeSolveResult scaled = solveUnitTree(problem);
+  const auto scaled = solveUnit(problem);
   ASSERT_EQ(base.assignments.size(), scaled.assignments.size());
   for (std::size_t i = 0; i < base.assignments.size(); ++i) {
     EXPECT_EQ(base.assignments[i].demand, scaled.assignments[i].demand);
@@ -213,7 +217,7 @@ TEST(Invariance, AllSeedsRespectCertificate) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SolverOptions options;
     options.seed = seed;
-    const TreeSolveResult r = solveUnitTree(problem, options);
+    const auto r = solveUnit(problem, options);
     EXPECT_GE(r.profit * r.certifiedBound, exact.profit - 1e-6)
         << "seed " << seed;
     EXPECT_EQ(checkAssignments(problem, r.assignments), "") << "seed " << seed;
@@ -229,7 +233,7 @@ TEST(Invariance, UpperBoundGrowsWithDemands) {
   cfg.numNetworks = 2;
   cfg.demands.numDemands = 8;
   TreeProblem problem = makeTreeScenario(cfg);
-  const TreeSolveResult before = solveUnitTree(problem);
+  const auto before = solveUnit(problem);
 
   Demand extra;
   extra.id = problem.numDemands();
@@ -239,7 +243,7 @@ TEST(Invariance, UpperBoundGrowsWithDemands) {
   problem.demands.push_back(extra);
   problem.access.push_back({0, 1});
   problem.validate();
-  const TreeSolveResult after = solveUnitTree(problem);
+  const auto after = solveUnit(problem);
   EXPECT_GE(after.dualUpperBound, before.profit - 1e-9);
   // The dominating demand's dual constraint is (1-eps)-satisfied after
   // phase 1, so the dual objective alone already exceeds 90.

@@ -6,9 +6,8 @@
 
 #include <cmath>
 
-#include "algo/line_solvers.hpp"
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/universe.hpp"
 #include "gen/scenario.hpp"
 
@@ -25,7 +24,7 @@ TEST(Scale, UnitTreeFiveHundredDemands) {
   cfg.demands.profitMax = 50.0;
   const TreeProblem problem = makeTreeScenario(cfg);
 
-  const TreeSolveResult r = solveUnitTree(problem);
+  const auto r = solveUnit(problem);
   EXPECT_EQ(checkAssignments(problem, r.assignments), "");
   EXPECT_GE(r.stats.lambdaMeasured, r.stats.lambdaTarget - 1e-9);
   EXPECT_LE(r.stats.delta, 6);
@@ -43,7 +42,7 @@ TEST(Scale, ArbitraryTreeMixedHeights) {
   cfg.demands.accessProbability = 0.6;
   const TreeProblem problem = makeTreeScenario(cfg);
 
-  const ArbitraryTreeResult r = solveArbitraryTree(problem);
+  const auto r = solveArbitrary(problem);
   EXPECT_EQ(checkAssignments(problem, r.assignments), "");
   EXPECT_GE(r.profit, std::max(r.wideProfit, r.narrowProfit) - 1e-9);
   EXPECT_GE(r.dualUpperBound, r.profit - 1e-9);
@@ -63,7 +62,7 @@ TEST(Scale, LineWithWindowsManyInstances) {
   const InstanceUniverse u = InstanceUniverse::fromLineProblem(problem);
   EXPECT_GT(u.numInstances(), 1000) << "windows should multiply instances";
 
-  const LineSolveResult r = solveUnitLine(problem);
+  const auto r = solveUnit(problem);
   EXPECT_EQ(checkAssignments(problem, r.assignments), "");
   EXPECT_LE(r.stats.delta, 3);
   EXPECT_GE(r.stats.lambdaMeasured, r.stats.lambdaTarget - 1e-9);
@@ -95,7 +94,7 @@ TEST(Scale, RoundGrowthStaysPolylog) {
     cfg.demands.numDemands = 2 * n;
     cfg.demands.accessProbability = 0.6;
     const TreeProblem problem = makeTreeScenario(cfg);
-    const TreeSolveResult r = solveUnitTree(problem);
+    const auto r = solveUnit(problem);
     const double lg = std::log2(static_cast<double>(n));
     EXPECT_LE(r.stats.misRounds, 40.0 * lg * lg)
         << "MIS rounds super-polylogarithmic at n=" << n;

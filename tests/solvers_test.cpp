@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "algo/line_solvers.hpp"
 #include "algo/sequential_tree.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/universe.hpp"
 #include "exact/brute_force.hpp"
 #include "gen/scenario.hpp"
@@ -41,11 +40,11 @@ LineProblem lineCase(std::uint64_t seed, std::int32_t slots, std::int32_t m,
   return makeLineScenario(cfg);
 }
 
-// ---- solveUnitTree (Theorem 5.3) ----
+// ---- solveUnit on trees (Theorem 5.3) ----
 
 TEST(SolveUnitTree, FeasibleNonTrivial) {
   const TreeProblem problem = treeCase(1, 32, 40, 3);
-  const TreeSolveResult result = solveUnitTree(problem);
+  const auto result = solveUnit(problem);
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
   EXPECT_GT(result.profit, 0);
   EXPECT_NEAR(result.profit, assignmentProfit(problem, result.assignments),
@@ -56,7 +55,7 @@ TEST(SolveUnitTree, CertifiedBoundAtMostSevenPlusEps) {
   const TreeProblem problem = treeCase(2, 24, 20, 2);
   SolverOptions options;
   options.epsilon = 0.1;
-  const TreeSolveResult result = solveUnitTree(problem, options);
+  const auto result = solveUnit(problem, options);
   // The per-run certificate uses the *measured* Delta <= 6, so it can only
   // be tighter than Theorem 5.3's (7+eps) = 7/(1-eps).
   EXPECT_LE(result.certifiedBound, 7.0 / 0.9 + 1e-9);
@@ -69,7 +68,7 @@ TEST(SolveUnitTree, WithinBoundOfExactOptimum) {
   // force on many small instances.
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const TreeProblem problem = treeCase(seed, 12, 9, 2);
-    const TreeSolveResult result = solveUnitTree(problem);
+    const auto result = solveUnit(problem);
     InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
     const ExactResult exact = bruteForceExact(u);
     ASSERT_TRUE(exact.provedOptimal);
@@ -83,15 +82,15 @@ TEST(SolveUnitTree, WithinBoundOfExactOptimum) {
 
 TEST(SolveUnitTree, RejectsNonUnitHeights) {
   const TreeProblem problem = treeCase(3, 16, 8, 2, HeightMode::Mixed);
-  EXPECT_THROW(solveUnitTree(problem), CheckError);
+  EXPECT_THROW(solveUnit(problem), CheckError);
 }
 
 TEST(SolveUnitTree, DeterministicForSeed) {
   const TreeProblem problem = treeCase(4, 24, 30, 2);
   SolverOptions options;
   options.seed = 77;
-  const TreeSolveResult a = solveUnitTree(problem, options);
-  const TreeSolveResult b = solveUnitTree(problem, options);
+  const auto a = solveUnit(problem, options);
+  const auto b = solveUnit(problem, options);
   ASSERT_EQ(a.assignments.size(), b.assignments.size());
   for (std::size_t i = 0; i < a.assignments.size(); ++i) {
     EXPECT_EQ(a.assignments[i].demand, b.assignments[i].demand);
@@ -110,23 +109,23 @@ TEST(SolveUnitTree, SingleNetworkSingleDemand) {
   d.profit = 2.0;
   problem.demands = {d};
   problem.access = {{0}};
-  const TreeSolveResult result = solveUnitTree(problem);
+  const auto result = solveUnit(problem);
   ASSERT_EQ(result.assignments.size(), 1u);
   EXPECT_DOUBLE_EQ(result.profit, 2.0);
 }
 
-// ---- solveArbitraryTree (Theorem 6.3) ----
+// ---- solveArbitrary on trees (Theorem 6.3) ----
 
 TEST(SolveArbitraryTree, FeasibleOnMixedHeights) {
   const TreeProblem problem = treeCase(5, 24, 40, 2, HeightMode::Mixed);
-  const ArbitraryTreeResult result = solveArbitraryTree(problem);
+  const auto result = solveArbitrary(problem);
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
   EXPECT_GT(result.profit, 0);
 }
 
 TEST(SolveArbitraryTree, CombineDominatesBothParts) {
   const TreeProblem problem = treeCase(6, 24, 50, 3, HeightMode::Mixed);
-  const ArbitraryTreeResult result = solveArbitraryTree(problem);
+  const auto result = solveArbitrary(problem);
   EXPECT_GE(result.profit, std::max(result.wideProfit, result.narrowProfit) -
                                1e-9)
       << "per-network combine must not lose to either sub-solution";
@@ -136,7 +135,7 @@ TEST(SolveArbitraryTree, WithinBoundOfExactOptimum) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const TreeProblem problem =
         treeCase(seed + 50, 10, 8, 2, HeightMode::Mixed);
-    const ArbitraryTreeResult result = solveArbitraryTree(problem);
+    const auto result = solveArbitrary(problem);
     InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
     const ExactResult exact = bruteForceExact(u);
     ASSERT_TRUE(exact.provedOptimal);
@@ -148,7 +147,7 @@ TEST(SolveArbitraryTree, WithinBoundOfExactOptimum) {
 
 TEST(SolveArbitraryTree, PureNarrowInput) {
   const TreeProblem problem = treeCase(7, 16, 20, 2, HeightMode::Narrow);
-  const ArbitraryTreeResult result = solveArbitraryTree(problem);
+  const auto result = solveArbitrary(problem);
   EXPECT_FALSE(result.wideStats.has_value());
   ASSERT_TRUE(result.narrowStats.has_value());
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
@@ -156,10 +155,72 @@ TEST(SolveArbitraryTree, PureNarrowInput) {
 
 TEST(SolveArbitraryTree, PureWideInputMatchesUnitAlgorithm) {
   const TreeProblem problem = treeCase(8, 16, 20, 2, HeightMode::Wide);
-  const ArbitraryTreeResult result = solveArbitraryTree(problem);
+  const auto result = solveArbitrary(problem);
   EXPECT_FALSE(result.narrowStats.has_value());
   ASSERT_TRUE(result.wideStats.has_value());
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
+}
+
+// ---- Certified bound of the wide/narrow split (Theorems 6.3 / 7.2) ----
+
+// The rule: approximationBound(Unit, Delta_w, lambda) +
+// approximationBound(Narrow, Delta_n, lambda), where lambda is the
+// schedule's target and each Delta is the theorem's Delta or the part's
+// measured Delta, whichever is larger. Whatever the schedule and the
+// decomposition, it must dominate what the two sub-runs certify alone.
+template <class Result>
+void expectSplitBound(const Result& result, std::int32_t theoremDelta,
+                      double lambda) {
+  ASSERT_TRUE(result.wideStats.has_value());
+  ASSERT_TRUE(result.narrowStats.has_value());
+  const TwoPhaseStats& wide = *result.wideStats;
+  const TwoPhaseStats& narrow = *result.narrowStats;
+  const std::int32_t deltaW = std::max(theoremDelta, wide.delta);
+  const std::int32_t deltaN = std::max(theoremDelta, narrow.delta);
+  const double expected = approximationBound(RaiseRule::Unit, deltaW, lambda) +
+                          approximationBound(RaiseRule::Narrow, deltaN, lambda);
+  EXPECT_NEAR(result.certifiedBound, expected, 1e-9);
+  const double alone =
+      approximationBound(RaiseRule::Unit, wide.delta, wide.lambdaTarget) +
+      approximationBound(RaiseRule::Narrow, narrow.delta, narrow.lambdaTarget);
+  EXPECT_GE(result.certifiedBound + 1e-9, alone);
+}
+
+TEST(SolveArbitraryTree, CertifiedBoundFollowsScheduleAndDecomposition) {
+  const TreeProblem problem = treeCase(17, 64, 40, 2, HeightMode::Mixed);
+  for (const SchedulePolicy schedule :
+       {SchedulePolicy::Staged, SchedulePolicy::Threshold}) {
+    for (const DecompositionKind decomposition :
+         {DecompositionKind::Ideal, DecompositionKind::Balancing,
+          DecompositionKind::RootFixing}) {
+      const bool staged = schedule == SchedulePolicy::Staged;
+      SCOPED_TRACE(decompositionKindName(decomposition) +
+                   (staged ? " staged" : " threshold"));
+      SolverOptions options;
+      options.epsilon = 0.1;
+      options.schedule = schedule;
+      options.decomposition = decomposition;
+      const auto result = solveArbitrary(problem, options);
+      expectSplitBound(result, 6, staged ? 0.9 : 1.0 / 5.1);
+      if (staged && decomposition == DecompositionKind::Ideal) {
+        EXPECT_NEAR(result.certifiedBound, 80.0 / 0.9, 1e-9);
+      }
+    }
+  }
+}
+
+TEST(SolveArbitraryLine, CertifiedBoundFollowsSchedule) {
+  const LineProblem problem = lineCase(14, 48, 30, 2, 0.5, HeightMode::Mixed);
+  for (const SchedulePolicy schedule :
+       {SchedulePolicy::Staged, SchedulePolicy::Threshold}) {
+    SolverOptions options;
+    options.epsilon = 0.1;
+    options.schedule = schedule;
+    const auto result = solveArbitrary(problem, options);
+    const bool staged = schedule == SchedulePolicy::Staged;
+    expectSplitBound(result, 3, staged ? 0.9 : 1.0 / 5.1);
+    EXPECT_NEAR(result.certifiedBound, staged ? 23.0 / 0.9 : 23.0 * 5.1, 1e-9);
+  }
 }
 
 // ---- solveSequentialTree (Appendix A) ----
@@ -206,7 +267,7 @@ TEST(SequentialTree, IterationsEqualRaisedInstances) {
 
 TEST(SolveUnitLine, FeasibleWithWindows) {
   const LineProblem problem = lineCase(10, 64, 30, 2, 1.0);
-  const LineSolveResult result = solveUnitLine(problem);
+  const auto result = solveUnit(problem);
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
   EXPECT_GT(result.profit, 0);
   EXPECT_LE(result.stats.delta, 3);
@@ -216,14 +277,14 @@ TEST(SolveUnitLine, CertifiedBoundIsFourPlusEps) {
   const LineProblem problem = lineCase(11, 48, 20, 2, 0.5);
   SolverOptions options;
   options.epsilon = 0.2;
-  const LineSolveResult result = solveUnitLine(problem, options);
+  const auto result = solveUnit(problem, options);
   EXPECT_NEAR(result.certifiedBound, 4.0 / 0.8, 1e-9);
 }
 
 TEST(SolveUnitLine, WithinBoundOfExactOptimum) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const LineProblem problem = lineCase(seed + 300, 24, 8, 2, 0.5);
-    const LineSolveResult result = solveUnitLine(problem);
+    const auto result = solveUnit(problem);
     InstanceUniverse u = InstanceUniverse::fromLineProblem(problem);
     const ExactResult exact = bruteForceExact(u);
     ASSERT_TRUE(exact.provedOptimal);
@@ -234,7 +295,9 @@ TEST(SolveUnitLine, WithinBoundOfExactOptimum) {
 
 TEST(SolveUnitLine, PanconesiSozioBaselineFeasible) {
   const LineProblem problem = lineCase(12, 64, 30, 2, 1.0);
-  const LineSolveResult result = solvePanconesiSozioUnitLine(problem);
+  SolverOptions options;
+  options.schedule = SchedulePolicy::Threshold;
+  const auto result = solveUnit(problem, options);
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
   // (20+eps) worst case: (3+1)*(5+eps).
   EXPECT_NEAR(result.certifiedBound, 4.0 * 5.1, 1e-9);
@@ -244,15 +307,17 @@ TEST(SolveUnitLine, StagedCertifiedBoundBeatsBaselineByFactorFive) {
   const LineProblem problem = lineCase(13, 48, 20, 2, 0.5);
   SolverOptions options;
   options.epsilon = 0.1;
-  const LineSolveResult ours = solveUnitLine(problem, options);
-  const LineSolveResult ps = solvePanconesiSozioUnitLine(problem, options);
+  const auto ours = solveUnit(problem, options);
+  SolverOptions psOptions = options;
+  psOptions.schedule = SchedulePolicy::Threshold;
+  const auto ps = solveUnit(problem, psOptions);
   EXPECT_GT(ps.certifiedBound / ours.certifiedBound, 4.5)
       << "the paper's improvement factor (~5x on lambda) must show";
 }
 
 TEST(SolveArbitraryLine, FeasibleOnMixedHeights) {
   const LineProblem problem = lineCase(14, 48, 30, 2, 0.5, HeightMode::Mixed);
-  const ArbitraryLineResult result = solveArbitraryLine(problem);
+  const auto result = solveArbitrary(problem);
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
   EXPECT_GE(result.profit, std::max(result.wideProfit, result.narrowProfit) -
                                1e-9);
@@ -262,7 +327,7 @@ TEST(SolveArbitraryLine, WithinBoundOfExactOptimum) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const LineProblem problem =
         lineCase(seed + 400, 20, 7, 2, 0.5, HeightMode::Mixed);
-    const ArbitraryLineResult result = solveArbitraryLine(problem);
+    const auto result = solveArbitrary(problem);
     InstanceUniverse u = InstanceUniverse::fromLineProblem(problem);
     const ExactResult exact = bruteForceExact(u);
     ASSERT_TRUE(exact.provedOptimal);
@@ -274,7 +339,7 @@ TEST(SolveArbitraryLine, CertifiedBoundIsTwentyThreePlusEps) {
   const LineProblem problem = lineCase(15, 32, 10, 1, 0.0, HeightMode::Mixed);
   SolverOptions options;
   options.epsilon = 0.1;
-  const ArbitraryLineResult result = solveArbitraryLine(problem, options);
+  const auto result = solveArbitrary(problem, options);
   EXPECT_NEAR(result.certifiedBound, 23.0 / 0.9, 1e-9);
 }
 
@@ -284,7 +349,7 @@ TEST(Ablation, BalancingDecompositionStillSound) {
   const TreeProblem problem = treeCase(16, 24, 30, 2);
   SolverOptions options;
   options.decomposition = DecompositionKind::Balancing;
-  const TreeSolveResult result = solveUnitTree(problem, options);
+  const auto result = solveUnit(problem, options);
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
   // Delta can exceed 6 here — that is the point of the ablation.
   EXPECT_GE(result.stats.delta, 1);
@@ -294,7 +359,7 @@ TEST(Ablation, ThresholdOnTreesStillSound) {
   const TreeProblem problem = treeCase(17, 24, 30, 2);
   SolverOptions options;
   options.schedule = SchedulePolicy::Threshold;
-  const TreeSolveResult result = solveUnitTree(problem, options);
+  const auto result = solveUnit(problem, options);
   EXPECT_EQ(checkAssignments(problem, result.assignments), "");
   EXPECT_NEAR(result.stats.lambdaTarget, 1.0 / 5.1, 1e-9);
 }
