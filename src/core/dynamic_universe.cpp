@@ -34,220 +34,85 @@ void eraseSorted(std::vector<InstanceId>& v, InstanceId x) {
 
 }  // namespace
 
-DynamicUniverse::DynamicUniverse(std::shared_ptr<const TreeProblem> problem,
-                                 std::unique_ptr<InstanceLayerer> layerer)
-    : kind_(Kind::Tree),
-      tree_(std::move(problem)),
-      layerer_(std::move(layerer)) {
+DynamicUniverse::DynamicUniverse(PoolProblem problem,
+                                 const LayererFactory& makeLayerer)
+    : PoolConstants(std::visit(
+          [](const auto& p) {
+            checkThat(p != nullptr, "pool problem provided", __FILE__,
+                      __LINE__);
+            return PoolConstants(*p);
+          },
+          problem)),
+      problem_(std::move(problem)) {
   const auto start = std::chrono::steady_clock::now();
-  checkThat(tree_ != nullptr, "tree problem provided", __FILE__, __LINE__);
+  layerer_ = makeLayerer(*this);
   checkThat(layerer_ != nullptr, "layerer provided", __FILE__, __LINE__);
-  tree_->validate();
-  numDemands_ = tree_->numDemands();
-  numNetworks_ = tree_->numNetworks();
-  edgeOffset_.resize(static_cast<std::size_t>(numNetworks_) + 1, 0);
-  for (TreeId t = 0; t < numNetworks_; ++t) {
-    edgeOffset_[static_cast<std::size_t>(t) + 1] =
-        edgeOffset_[static_cast<std::size_t>(t)] +
-        tree_->networks[static_cast<std::size_t>(t)].numEdges();
-  }
-  numGlobalEdges_ = edgeOffset_.back();
 
-  instanceOffset_.assign(static_cast<std::size_t>(numDemands_) + 1, 0);
-  for (DemandId d = 0; d < numDemands_; ++d) {
-    instanceOffset_[static_cast<std::size_t>(d) + 1] =
-        instanceOffset_[static_cast<std::size_t>(d)] +
-        static_cast<std::int32_t>(tree_->access[static_cast<std::size_t>(d)]
-                                      .size());
-  }
-  buildPoolIndexes();
-  stats_.buildMs = static_cast<double>(microsSince(start)) / 1000.0;
-}
-
-DynamicUniverse::DynamicUniverse(std::shared_ptr<const LineProblem> problem,
-                                 std::unique_ptr<InstanceLayerer> layerer)
-    : kind_(Kind::Line),
-      line_(std::move(problem)),
-      layerer_(std::move(layerer)) {
-  const auto start = std::chrono::steady_clock::now();
-  checkThat(line_ != nullptr, "line problem provided", __FILE__, __LINE__);
-  checkThat(layerer_ != nullptr, "layerer provided", __FILE__, __LINE__);
-  line_->validate();
-  numDemands_ = line_->numDemands();
-  numNetworks_ = line_->numResources;
-  lineSlots_ = line_->numSlots;
-  edgeOffset_.resize(static_cast<std::size_t>(numNetworks_) + 1, 0);
-  for (ResourceId r = 0; r < numNetworks_; ++r) {
-    edgeOffset_[static_cast<std::size_t>(r) + 1] =
-        edgeOffset_[static_cast<std::size_t>(r)] + line_->numSlots;
-  }
-  numGlobalEdges_ = edgeOffset_.back();
-
-  instanceOffset_.assign(static_cast<std::size_t>(numDemands_) + 1, 0);
-  for (DemandId d = 0; d < numDemands_; ++d) {
-    const WindowDemand& dem = line_->demands[static_cast<std::size_t>(d)];
-    const std::int32_t starts =
-        std::max(0, dem.deadline - dem.processing - dem.release + 2);
-    instanceOffset_[static_cast<std::size_t>(d) + 1] =
-        instanceOffset_[static_cast<std::size_t>(d)] +
-        static_cast<std::int32_t>(line_->access[static_cast<std::size_t>(d)]
-                                      .size()) *
-            starts;
-  }
-  buildPoolIndexes();
-  stats_.buildMs = static_cast<double>(microsSince(start)) / 1000.0;
-}
-
-void DynamicUniverse::buildPoolIndexes() {
+  const auto demandCount = static_cast<std::size_t>(numDemands());
+  instanceOffset_.assign(demandCount + 1, 0);
+  std::visit(
+      [this, demandCount](const auto& p) {
+        for (std::size_t d = 0; d < demandCount; ++d) {
+          instanceOffset_[d + 1] = instanceOffset_[d] +
+                                   instanceCount(*p, static_cast<DemandId>(d));
+        }
+      },
+      problem_);
   numInstances_ = instanceOffset_.back();
   idPool_.resize(static_cast<std::size_t>(numInstances_));
-  for (InstanceId i = 0; i < numInstances_; ++i) {
-    idPool_[static_cast<std::size_t>(i)] = i;
-  }
   demandOf_.resize(static_cast<std::size_t>(numInstances_));
-  for (DemandId d = 0; d < numDemands_; ++d) {
-    for (std::int32_t i = instanceOffset_[static_cast<std::size_t>(d)];
-         i < instanceOffset_[static_cast<std::size_t>(d) + 1]; ++i) {
-      demandOf_[static_cast<std::size_t>(i)] = d;
+  for (std::size_t d = 0; d < demandCount; ++d) {
+    for (std::int32_t i = instanceOffset_[d]; i < instanceOffset_[d + 1]; ++i) {
+      idPool_[static_cast<std::size_t>(i)] = i;
+      demandOf_[static_cast<std::size_t>(i)] = static_cast<DemandId>(d);
     }
   }
-  slabs_.resize(static_cast<std::size_t>(numDemands_));
-  edgeLive_.resize(static_cast<std::size_t>(numGlobalEdges_));
-
-  // Profit range over the pool, matching the from-scratch finalize():
-  // every instance of a demand shares the demand's profit, so demands
-  // with at least one pool instance determine the range.
-  bool any = false;
-  for (DemandId d = 0; d < numDemands_; ++d) {
-    if (poolInstanceCount(d) == 0) continue;
-    const double profit =
-        kind_ == Kind::Tree
-            ? tree_->demands[static_cast<std::size_t>(d)].profit
-            : line_->demands[static_cast<std::size_t>(d)].profit;
-    if (!any) {
-      profitMax_ = profitMin_ = profit;
-      any = true;
-    } else {
-      profitMax_ = std::max(profitMax_, profit);
-      profitMin_ = std::min(profitMin_, profit);
-    }
-  }
-}
-
-GlobalEdgeId DynamicUniverse::globalEdge(TreeId network, EdgeId e) const {
-  checkIndex(network, numNetworks_, "network id");
-  const GlobalEdgeId g = edgeOffset_[static_cast<std::size_t>(network)] + e;
-  checkThat(g < edgeOffset_[static_cast<std::size_t>(network) + 1],
-            "edge id within network", __FILE__, __LINE__);
-  return g;
-}
-
-std::int32_t DynamicUniverse::lineSlots() const {
-  checkThat(kind_ == Kind::Line, "line universe", __FILE__, __LINE__);
-  return lineSlots_;
+  slabs_.resize(demandCount);
+  edgeLive_.resize(static_cast<std::size_t>(numGlobalEdges()));
+  stats_.buildMs = static_cast<double>(microsSince(start)) / 1000.0;
 }
 
 const std::vector<std::vector<std::int32_t>>& DynamicUniverse::access() const {
-  return kind_ == Kind::Tree ? tree_->access : line_->access;
-}
-
-const TreeProblem& DynamicUniverse::treeProblem() const {
-  checkThat(kind_ == Kind::Tree, "tree universe", __FILE__, __LINE__);
-  return *tree_;
-}
-
-const LineProblem& DynamicUniverse::lineProblem() const {
-  checkThat(kind_ == Kind::Line, "line universe", __FILE__, __LINE__);
-  return *line_;
+  return std::visit(
+      [](const auto& p) -> const std::vector<std::vector<std::int32_t>>& {
+        return p->access;
+      },
+      problem_);
 }
 
 std::int32_t DynamicUniverse::poolInstanceCount(DemandId d) const {
-  checkIndex(d, numDemands_, "demand id");
+  checkIndex(d, numDemands(), "demand id");
   return instanceOffset_[static_cast<std::size_t>(d) + 1] -
          instanceOffset_[static_cast<std::size_t>(d)];
 }
 
-void DynamicUniverse::expandTree(DemandId d, DemandSlab& slab) const {
-  const Demand& dem = tree_->demands[static_cast<std::size_t>(d)];
-  InstanceId id = instanceOffset_[static_cast<std::size_t>(d)];
-  for (const TreeId t : tree_->access[static_cast<std::size_t>(d)]) {
-    const TreeNetwork& net = tree_->networks[static_cast<std::size_t>(t)];
-    InstanceRecord rec;
-    rec.id = id++;
-    rec.demand = d;
-    rec.network = t;
-    rec.u = dem.u;
-    rec.v = dem.v;
-    rec.profit = dem.profit;
-    rec.height = dem.height;
-    rec.pathBegin = static_cast<std::int32_t>(slab.pathPool.size());
-    for (const EdgeId e : net.pathEdges(dem.u, dem.v)) {
-      slab.pathPool.push_back(edgeOffset_[static_cast<std::size_t>(t)] + e);
-    }
-    rec.pathEnd = static_cast<std::int32_t>(slab.pathPool.size());
-    checkThat(rec.pathLength() >= 1, "instance path non-empty", __FILE__,
-              __LINE__);
-    slab.records.push_back(rec);
-  }
-}
-
-void DynamicUniverse::expandLine(DemandId d, DemandSlab& slab) const {
-  const WindowDemand& dem = line_->demands[static_cast<std::size_t>(d)];
-  InstanceId id = instanceOffset_[static_cast<std::size_t>(d)];
-  for (const ResourceId r : line_->access[static_cast<std::size_t>(d)]) {
-    const std::int32_t lastStart = dem.deadline - dem.processing + 1;
-    for (std::int32_t start = dem.release; start <= lastStart; ++start) {
-      InstanceRecord rec;
-      rec.id = id++;
-      rec.demand = d;
-      rec.network = r;
-      rec.u = start;
-      rec.v = start + dem.processing - 1;
-      rec.profit = dem.profit;
-      rec.height = dem.height;
-      rec.pathBegin = static_cast<std::int32_t>(slab.pathPool.size());
-      for (std::int32_t slot = rec.u; slot <= rec.v; ++slot) {
-        slab.pathPool.push_back(edgeOffset_[static_cast<std::size_t>(r)] +
-                                slot);
-      }
-      rec.pathEnd = static_cast<std::int32_t>(slab.pathPool.size());
-      slab.records.push_back(rec);
-    }
-  }
-}
-
 void DynamicUniverse::addDemand(DemandId d) {
-  checkIndex(d, numDemands_, "demand id");
+  checkIndex(d, numDemands(), "demand id");
   checkThat(slabs_[static_cast<std::size_t>(d)] == nullptr,
             "demand not already live", __FILE__, __LINE__);
   const auto start = std::chrono::steady_clock::now();
+  const std::int32_t base = instanceOffset_[static_cast<std::size_t>(d)];
   auto slab = std::make_unique<DemandSlab>();
-  if (kind_ == Kind::Tree) {
-    expandTree(d, *slab);
-  } else {
-    expandLine(d, *slab);
-  }
+  std::visit(
+      [&](const auto& p) {
+        expandDemand(*p, *this, d, base, slab->records, slab->pathPool);
+      },
+      problem_);
   const std::size_t count = slab->records.size();
   checkThat(static_cast<std::int32_t>(count) == poolInstanceCount(d),
             "expansion matches pool id range", __FILE__, __LINE__);
 
   // Layering: per-instance-local group + critical edges.
-  slab->group.reserve(count);
-  slab->criticalOffset.assign(count + 1, 0);
   std::vector<GlobalEdgeId> buffer;
-  for (std::size_t local = 0; local < count; ++local) {
+  for (const InstanceRecord& rec : slab->records) {
     buffer.clear();
-    slab->group.push_back(layerer_->layer(slab->records[local], buffer));
-    slab->criticalPool.insert(slab->criticalPool.end(), buffer.begin(),
-                              buffer.end());
-    slab->criticalOffset[local + 1] =
-        static_cast<std::int32_t>(slab->criticalPool.size());
+    const std::int32_t group = layerer_->layer(rec, buffer);
+    slab->layers.append(group, buffer);
   }
 
   // Splice into the live edge index first, then derive each new
-  // instance's conflict row exactly as the from-scratch build does:
-  // union of on-edge instances over the path, plus all siblings, sorted
-  // unique minus self — restricted to live ids by construction.
+  // instance's conflict row with the from-scratch build's conflictRow —
+  // restricted to live ids by construction.
   for (const InstanceRecord& rec : slab->records) {
     for (std::int32_t p = rec.pathBegin; p < rec.pathEnd; ++p) {
       insertSorted(edgeLive_[static_cast<std::size_t>(slab->pathPool[
@@ -255,23 +120,16 @@ void DynamicUniverse::addDemand(DemandId d) {
                    rec.id);
     }
   }
-  const std::int32_t base = instanceOffset_[static_cast<std::size_t>(d)];
+  const std::span<const InstanceId> siblings(
+      idPool_.data() + base, count);
   slab->conflicts.resize(count);
   std::vector<InstanceId> row;
   for (std::size_t local = 0; local < count; ++local) {
     const InstanceRecord& rec = slab->records[local];
-    row.clear();
-    for (std::int32_t p = rec.pathBegin; p < rec.pathEnd; ++p) {
-      const auto& onEdge = edgeLive_[static_cast<std::size_t>(
-          slab->pathPool[static_cast<std::size_t>(p)])];
-      row.insert(row.end(), onEdge.begin(), onEdge.end());
-    }
-    for (std::size_t s = 0; s < count; ++s) {
-      row.push_back(base + static_cast<InstanceId>(s));
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    row.erase(std::remove(row.begin(), row.end(), rec.id), row.end());
+    conflictRow(*this, rec.id,
+                {slab->pathPool.data() + rec.pathBegin,
+                 static_cast<std::size_t>(rec.pathLength())},
+                siblings, row);
     slab->conflicts[local] = row;
   }
   // Mirror the new rows into the other live demands' rows.
@@ -292,7 +150,7 @@ void DynamicUniverse::addDemand(DemandId d) {
 }
 
 void DynamicUniverse::retireDemand(DemandId d) {
-  checkIndex(d, numDemands_, "demand id");
+  checkIndex(d, numDemands(), "demand id");
   checkThat(slabs_[static_cast<std::size_t>(d)] != nullptr, "demand live",
             __FILE__, __LINE__);
   const auto start = std::chrono::steady_clock::now();
@@ -320,7 +178,7 @@ void DynamicUniverse::retireDemand(DemandId d) {
 }
 
 bool DynamicUniverse::isLive(DemandId d) const {
-  checkIndex(d, numDemands_, "demand id");
+  checkIndex(d, numDemands(), "demand id");
   return slabs_[static_cast<std::size_t>(d)] != nullptr;
 }
 
@@ -360,7 +218,7 @@ std::span<const GlobalEdgeId> DynamicUniverse::path(InstanceId i) const {
 
 std::span<const InstanceId> DynamicUniverse::instancesOfDemand(
     DemandId d) const {
-  checkIndex(d, numDemands_, "demand id");
+  checkIndex(d, numDemands(), "demand id");
   if (slabs_[static_cast<std::size_t>(d)] == nullptr) return {};
   const auto begin = instanceOffset_[static_cast<std::size_t>(d)];
   const auto end = instanceOffset_[static_cast<std::size_t>(d) + 1];
@@ -369,34 +227,9 @@ std::span<const InstanceId> DynamicUniverse::instancesOfDemand(
 
 std::span<const InstanceId> DynamicUniverse::instancesOnEdge(
     GlobalEdgeId e) const {
-  checkIndex(e, numGlobalEdges_, "global edge id");
+  checkIndex(e, numGlobalEdges(), "global edge id");
   const auto& live = edgeLive_[static_cast<std::size_t>(e)];
   return {live.data(), live.size()};
-}
-
-bool DynamicUniverse::overlapping(InstanceId a, InstanceId b) const {
-  const InstanceRecord& ra = instance(a);
-  const InstanceRecord& rb = instance(b);
-  if (ra.network != rb.network) return false;
-  if (kind_ == Kind::Line) {
-    return ra.u <= rb.v && rb.u <= ra.v;
-  }
-  const auto pa = path(a);
-  const auto pb = path(b);
-  const auto& shorter = pa.size() <= pb.size() ? pa : pb;
-  const auto& longer = pa.size() <= pb.size() ? pb : pa;
-  for (const GlobalEdgeId e : shorter) {
-    if (std::find(longer.begin(), longer.end(), e) != longer.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool DynamicUniverse::conflicting(InstanceId a, InstanceId b) const {
-  if (a == b) return false;
-  if (instance(a).demand == instance(b).demand) return true;
-  return overlapping(a, b);
 }
 
 std::span<const InstanceId> DynamicUniverse::conflictsOf(InstanceId i) const {
@@ -411,17 +244,13 @@ std::int32_t DynamicUniverse::groupOf(InstanceId i) const {
   DemandId demand = 0;
   std::int32_t local = 0;
   const DemandSlab& slab = slabOf(i, demand, local);
-  return slab.group[static_cast<std::size_t>(local)];
+  return slab.layers.group[static_cast<std::size_t>(local)];
 }
 
 std::span<const GlobalEdgeId> DynamicUniverse::critical(InstanceId i) const {
   DemandId demand = 0;
   std::int32_t local = 0;
-  const DemandSlab& slab = slabOf(i, demand, local);
-  const auto begin = slab.criticalOffset[static_cast<std::size_t>(local)];
-  const auto end = slab.criticalOffset[static_cast<std::size_t>(local) + 1];
-  return {slab.criticalPool.data() + begin,
-          static_cast<std::size_t>(end - begin)};
+  return slabOf(i, demand, local).layers.critical(local);
 }
 
 }  // namespace treesched

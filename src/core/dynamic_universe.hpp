@@ -1,5 +1,5 @@
-// Dynamic demand-instance universe (ROADMAP item 2: incremental universe
-// & layering for unbounded demand streams).
+// Dynamic demand-instance universe: incremental universe & layering for
+// unbounded demand streams.
 //
 // `InstanceUniverse` materializes the full pool — every instance any
 // demand can ever create — up front; fine for one-shot solves, the main
@@ -8,14 +8,17 @@
 // pool-stable, so surviving instances never renumber and every
 // hash-keyed decision is reproducible), but materializes records, edge
 // paths, the conflict relation and the layering only for demands that
-// are currently live:
+// are currently live. It is a view, not a fork: the pool constants,
+// the per-demand expansion and the conflict predicates are the ones in
+// core/universe.hpp, and the layerer calls the same per-instance rules
+// as the static layering (decomp/layering.hpp).
 //
-//   * addDemand(d) expands d's instances exactly as the from-scratch
-//     builders would (same records, same paths, same ids), assigns each
-//     one its group + critical edges through the pluggable
-//     `InstanceLayerer` (per-instance-local by Lemma 4.2/4.3 and §7),
-//     and splices them into the live conflict adjacency — O(affected)
-//     work, independent of pool size.
+//   * addDemand(d) expands d's instances with `expandDemand` (same
+//     records, same paths, same ids as the from-scratch build), assigns
+//     each one its group + critical edges through the `InstanceLayerer`
+//     (per-instance-local by Lemma 4.2/4.3 and §7), and splices them
+//     into the live conflict adjacency — O(affected) work, independent
+//     of pool size.
 //   * retireDemand(d) garbage-collects with the same exactness
 //     discipline as raise purging: every symmetric reference is removed
 //     (checked, not best-effort), the slab is freed, and a later
@@ -28,8 +31,10 @@
 // indexes (a few bytes per pool id) stay pool-dense.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "core/line_problem.hpp"
@@ -52,11 +57,11 @@ struct UniverseStats {
 };
 
 /// Per-instance group + critical-edge assignment (the paper's layered
-/// decomposition, §4.4 and §7), evaluated one instance at a time.
-/// Implementations own the persistent per-network structures (tree
-/// decompositions and pivot sets, pool length range) so that layer()
-/// depends only on the instance itself — the locality that makes
-/// layering maintenance O(arrival). numGroups() and maxCriticalSize()
+/// decomposition, §4.4 and §7), evaluated one instance at a time by the
+/// rules the static layering uses (decomp/layering.hpp). Implementations
+/// own the persistent per-network structures (tree decompositions and
+/// pivot sets) so that layer() depends only on the instance itself —
+/// the locality that makes layering maintenance O(arrival). numGroups() and maxCriticalSize()
 /// are pool constants, measured over every instance the pool can ever
 /// contain: group numbering and the protocol's stage plan never shift
 /// as demands come and go.
@@ -103,35 +108,26 @@ struct DynamicLayeringView {
 /// on either — with live-restricted semantics: instance(i)/path(i)
 /// require i live, instancesOfDemand(d) is empty for non-live d, and
 /// instancesOnEdge/conflictsOf enumerate live instances only.
-class DynamicUniverse {
+class DynamicUniverse : public PoolConstants {
  public:
-  using Kind = InstanceUniverse::Kind;
+  /// The pool problem, shared with the caller (never copied).
+  using PoolProblem = std::variant<std::shared_ptr<const TreeProblem>,
+                                   std::shared_ptr<const LineProblem>>;
+  using LayererFactory =
+      std::function<std::unique_ptr<InstanceLayerer>(const PoolConstants&)>;
 
-  DynamicUniverse(std::shared_ptr<const TreeProblem> problem,
-                  std::unique_ptr<InstanceLayerer> layerer);
-  DynamicUniverse(std::shared_ptr<const LineProblem> problem,
-                  std::unique_ptr<InstanceLayerer> layerer);
+  /// Validates the problem and derives the pool constants first; only
+  /// then does `makeLayerer` build the layerer over them, so no
+  /// structure ever reads an invalid problem.
+  DynamicUniverse(PoolProblem problem, const LayererFactory& makeLayerer);
 
-  // ---- Pool-level constants (match the from-scratch universe) ----
-
-  Kind kind() const { return kind_; }
   /// Pool id-space size — NOT the live count. Dense per-instance arrays
   /// (dual lhs, MIS status) and WarmStart::priorLhs are sized by this.
   std::int32_t numInstances() const { return numInstances_; }
-  std::int32_t numDemands() const { return numDemands_; }
-  std::int32_t numNetworks() const { return numNetworks_; }
-  std::int32_t numGlobalEdges() const { return numGlobalEdges_; }
-  GlobalEdgeId globalEdge(TreeId network, EdgeId e) const;
-  double profitMax() const { return profitMax_; }
-  double profitMin() const { return profitMin_; }
-  std::int32_t lineSlots() const;
 
   /// Accessibility lists of the underlying problem (TreeIds or
   /// ResourceIds — both are the network axis of the universe).
   const std::vector<std::vector<std::int32_t>>& access() const;
-
-  const TreeProblem& treeProblem() const;
-  const LineProblem& lineProblem() const;
 
   /// Pool instance count of demand d (live or not): how many instances
   /// addDemand(d) materializes.
@@ -167,8 +163,12 @@ class DynamicUniverse {
   /// Live instances whose path contains edge e, ascending.
   std::span<const InstanceId> instancesOnEdge(GlobalEdgeId e) const;
 
-  bool overlapping(InstanceId a, InstanceId b) const;
-  bool conflicting(InstanceId a, InstanceId b) const;
+  bool overlapping(InstanceId a, InstanceId b) const {
+    return instancesOverlap(*this, a, b);
+  }
+  bool conflicting(InstanceId a, InstanceId b) const {
+    return instancesConflict(*this, a, b);
+  }
 
   /// The conflict relation is maintained incrementally — always built.
   bool conflictsBuilt() const { return true; }
@@ -188,9 +188,6 @@ class DynamicUniverse {
   // ---- Cost accounting ----
 
   const UniverseStats& stats() const { return stats_; }
-  /// Factories record the full pool-build time (decompositions +
-  /// universe indexes) here once, right after construction.
-  void setBuildMs(double ms) { stats_.buildMs = ms; }
 
  private:
   /// Everything materialized for one live demand. Freed whole on
@@ -198,33 +195,18 @@ class DynamicUniverse {
   struct DemandSlab {
     std::vector<InstanceRecord> records;      ///< pool ids, pool order
     std::vector<GlobalEdgeId> pathPool;       ///< records index into this
-    std::vector<std::int32_t> group;          ///< per local instance
-    std::vector<std::int32_t> criticalOffset;  ///< local CSR
-    std::vector<GlobalEdgeId> criticalPool;
+    Layering layers;                          ///< by local instance
     /// Live conflict neighbours per local instance, sorted ascending.
     std::vector<std::vector<InstanceId>> conflicts;
   };
 
-  void buildPoolIndexes();
-  void expandTree(DemandId d, DemandSlab& slab) const;
-  void expandLine(DemandId d, DemandSlab& slab) const;
   const DemandSlab& slabOf(InstanceId i, DemandId& demand,
                            std::int32_t& local) const;
   std::vector<InstanceId>& conflictListOf(InstanceId i);
 
-  Kind kind_ = Kind::Tree;
-  std::shared_ptr<const TreeProblem> tree_;
-  std::shared_ptr<const LineProblem> line_;
+  PoolProblem problem_;  ///< outlives layerer_, which may point into it
   std::unique_ptr<InstanceLayerer> layerer_;
-
-  std::int32_t numDemands_ = 0;
-  std::int32_t numNetworks_ = 0;
-  std::int32_t numGlobalEdges_ = 0;
   std::int32_t numInstances_ = 0;
-  std::int32_t lineSlots_ = 0;
-  double profitMax_ = 1.0;
-  double profitMin_ = 1.0;
-  std::vector<std::int32_t> edgeOffset_;  ///< per network, into global edges
 
   // Pool-dense id indexes (4 bytes per pool id each): the stable-id
   // lookup tables. Everything heavier lives in per-demand slabs.

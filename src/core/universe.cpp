@@ -1,100 +1,150 @@
 #include "core/universe.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/check.hpp"
 
 namespace treesched {
 
-InstanceUniverse InstanceUniverse::fromTreeProblem(const TreeProblem& problem) {
+PoolConstants::PoolConstants(const TreeProblem& problem) {
   problem.validate();
-  InstanceUniverse u;
-  u.kind_ = Kind::Tree;
-  u.numDemands_ = problem.numDemands();
-  u.numNetworks_ = problem.numNetworks();
-  u.edgeOffset_.resize(static_cast<std::size_t>(u.numNetworks_) + 1, 0);
-  for (TreeId t = 0; t < u.numNetworks_; ++t) {
-    u.edgeOffset_[static_cast<std::size_t>(t) + 1] =
-        u.edgeOffset_[static_cast<std::size_t>(t)] +
-        problem.networks[static_cast<std::size_t>(t)].numEdges();
+  kind_ = Kind::Tree;
+  numNetworks_ = problem.numNetworks();
+  for (const TreeNetwork& net : problem.networks) {
+    edgeOffset_.push_back(edgeOffset_.back() + net.numEdges());
   }
-  u.numGlobalEdges_ = u.edgeOffset_.back();
+  scanDemands(problem);
+}
 
-  for (DemandId d = 0; d < u.numDemands_; ++d) {
-    const Demand& dem = problem.demands[static_cast<std::size_t>(d)];
-    for (const TreeId t : problem.access[static_cast<std::size_t>(d)]) {
-      const TreeNetwork& net = problem.networks[static_cast<std::size_t>(t)];
+PoolConstants::PoolConstants(const LineProblem& problem) {
+  problem.validate();
+  kind_ = Kind::Line;
+  numNetworks_ = problem.numResources;
+  lineSlots_ = problem.numSlots;
+  for (ResourceId r = 0; r < numNetworks_; ++r) {
+    edgeOffset_.push_back(edgeOffset_.back() + problem.numSlots);
+  }
+  scanDemands(problem);
+}
+
+// A validated problem gives every demand at least one instance, and all
+// of a demand's instances share its profit (and, on lines, its length),
+// so the demands determine the pool's ranges.
+template <class Problem>
+void PoolConstants::scanDemands(const Problem& problem) {
+  numDemands_ = problem.numDemands();
+  if (problem.demands.empty()) return;
+  profitMax_ = profitMin_ = problem.demands.front().profit;
+  for (const auto& dem : problem.demands) {
+    profitMax_ = std::max(profitMax_, dem.profit);
+    profitMin_ = std::min(profitMin_, dem.profit);
+  }
+  if constexpr (std::is_same_v<Problem, LineProblem>) {
+    minLength_ = maxLength_ = problem.demands.front().processing;
+    for (const WindowDemand& dem : problem.demands) {
+      minLength_ = std::min(minLength_, dem.processing);
+      maxLength_ = std::max(maxLength_, dem.processing);
+    }
+  }
+}
+
+GlobalEdgeId PoolConstants::globalEdge(TreeId network, EdgeId e) const {
+  checkIndex(network, numNetworks_, "network id");
+  const GlobalEdgeId g = edgeOffset_[static_cast<std::size_t>(network)] + e;
+  checkThat(g < edgeOffset_[static_cast<std::size_t>(network) + 1],
+            "edge id within network", __FILE__, __LINE__);
+  return g;
+}
+
+std::int32_t PoolConstants::lineSlots() const {
+  checkThat(kind_ == Kind::Line, "line universe", __FILE__, __LINE__);
+  return lineSlots_;
+}
+
+std::int32_t instanceCount(const TreeProblem& problem, DemandId d) {
+  return static_cast<std::int32_t>(
+      problem.access[static_cast<std::size_t>(d)].size());
+}
+
+std::int32_t instanceCount(const LineProblem& problem, DemandId d) {
+  const WindowDemand& dem = problem.demands[static_cast<std::size_t>(d)];
+  const std::int32_t starts = dem.deadline - dem.processing - dem.release + 2;
+  return static_cast<std::int32_t>(
+             problem.access[static_cast<std::size_t>(d)].size()) *
+         starts;
+}
+
+void expandDemand(const TreeProblem& problem, const PoolConstants& pool,
+                  DemandId d, InstanceId firstId,
+                  std::vector<InstanceRecord>& records,
+                  std::vector<GlobalEdgeId>& paths) {
+  const Demand& dem = problem.demands[static_cast<std::size_t>(d)];
+  InstanceId id = firstId;
+  for (const TreeId t : problem.access[static_cast<std::size_t>(d)]) {
+    const TreeNetwork& net = problem.networks[static_cast<std::size_t>(t)];
+    const GlobalEdgeId base = pool.globalEdge(t, 0);
+    InstanceRecord rec;
+    rec.id = id++;
+    rec.demand = d;
+    rec.network = t;
+    rec.u = dem.u;
+    rec.v = dem.v;
+    rec.profit = dem.profit;
+    rec.height = dem.height;
+    rec.pathBegin = static_cast<std::int32_t>(paths.size());
+    for (const EdgeId e : net.pathEdges(dem.u, dem.v)) {
+      paths.push_back(base + e);
+    }
+    rec.pathEnd = static_cast<std::int32_t>(paths.size());
+    checkThat(rec.pathLength() >= 1, "instance path non-empty", __FILE__,
+              __LINE__);
+    records.push_back(rec);
+  }
+}
+
+void expandDemand(const LineProblem& problem, const PoolConstants& pool,
+                  DemandId d, InstanceId firstId,
+                  std::vector<InstanceRecord>& records,
+                  std::vector<GlobalEdgeId>& paths) {
+  const WindowDemand& dem = problem.demands[static_cast<std::size_t>(d)];
+  InstanceId id = firstId;
+  for (const ResourceId r : problem.access[static_cast<std::size_t>(d)]) {
+    const GlobalEdgeId base = pool.globalEdge(r, 0);
+    const std::int32_t lastStart = dem.deadline - dem.processing + 1;
+    for (std::int32_t start = dem.release; start <= lastStart; ++start) {
       InstanceRecord rec;
-      rec.id = static_cast<InstanceId>(u.instances_.size());
+      rec.id = id++;
       rec.demand = d;
-      rec.network = t;
-      rec.u = dem.u;
-      rec.v = dem.v;
+      rec.network = r;
+      rec.u = start;
+      rec.v = start + dem.processing - 1;
       rec.profit = dem.profit;
       rec.height = dem.height;
-      rec.pathBegin = static_cast<std::int32_t>(u.pathPool_.size());
-      for (const EdgeId e : net.pathEdges(dem.u, dem.v)) {
-        u.pathPool_.push_back(u.edgeOffset_[static_cast<std::size_t>(t)] + e);
+      rec.pathBegin = static_cast<std::int32_t>(paths.size());
+      for (std::int32_t slot = rec.u; slot <= rec.v; ++slot) {
+        paths.push_back(base + slot);
       }
-      rec.pathEnd = static_cast<std::int32_t>(u.pathPool_.size());
-      checkThat(rec.pathLength() >= 1, "instance path non-empty", __FILE__,
-                __LINE__);
-      u.instances_.push_back(rec);
+      rec.pathEnd = static_cast<std::int32_t>(paths.size());
+      records.push_back(rec);
     }
   }
-  u.finalize();
-  return u;
 }
 
-InstanceUniverse InstanceUniverse::fromLineProblem(const LineProblem& problem) {
-  problem.validate();
-  InstanceUniverse u;
-  u.kind_ = Kind::Line;
-  u.numDemands_ = problem.numDemands();
-  u.numNetworks_ = problem.numResources;
-  u.lineSlots_ = problem.numSlots;
-  u.edgeOffset_.resize(static_cast<std::size_t>(u.numNetworks_) + 1, 0);
-  for (ResourceId r = 0; r < u.numNetworks_; ++r) {
-    u.edgeOffset_[static_cast<std::size_t>(r) + 1] =
-        u.edgeOffset_[static_cast<std::size_t>(r)] + problem.numSlots;
+template <class Problem>
+InstanceUniverse::InstanceUniverse(const Problem& problem)
+    : PoolConstants(problem) {
+  for (DemandId d = 0; d < numDemands(); ++d) {
+    expandDemand(problem, *this, d, numInstances(), instances_, pathPool_);
   }
-  u.numGlobalEdges_ = u.edgeOffset_.back();
 
-  for (DemandId d = 0; d < u.numDemands_; ++d) {
-    const WindowDemand& dem = problem.demands[static_cast<std::size_t>(d)];
-    for (const ResourceId r : problem.access[static_cast<std::size_t>(d)]) {
-      const std::int32_t lastStart = dem.deadline - dem.processing + 1;
-      for (std::int32_t start = dem.release; start <= lastStart; ++start) {
-        InstanceRecord rec;
-        rec.id = static_cast<InstanceId>(u.instances_.size());
-        rec.demand = d;
-        rec.network = r;
-        rec.u = start;
-        rec.v = start + dem.processing - 1;
-        rec.profit = dem.profit;
-        rec.height = dem.height;
-        rec.pathBegin = static_cast<std::int32_t>(u.pathPool_.size());
-        for (std::int32_t slot = rec.u; slot <= rec.v; ++slot) {
-          u.pathPool_.push_back(u.edgeOffset_[static_cast<std::size_t>(r)] +
-                                slot);
-        }
-        rec.pathEnd = static_cast<std::int32_t>(u.pathPool_.size());
-        u.instances_.push_back(rec);
-      }
-    }
-  }
-  u.finalize();
-  return u;
-}
-
-void InstanceUniverse::finalize() {
   // Demand -> instances CSR. Instances were appended in ascending demand
   // order, so a counting pass suffices.
-  demandOffset_.assign(static_cast<std::size_t>(numDemands_) + 1, 0);
+  demandOffset_.assign(static_cast<std::size_t>(numDemands()) + 1, 0);
   for (const InstanceRecord& rec : instances_) {
     ++demandOffset_[static_cast<std::size_t>(rec.demand) + 1];
   }
-  for (std::size_t d = 0; d < static_cast<std::size_t>(numDemands_); ++d) {
+  for (std::size_t d = 0; d < static_cast<std::size_t>(numDemands()); ++d) {
     demandOffset_[d + 1] += demandOffset_[d];
   }
   demandInstances_.resize(instances_.size());
@@ -108,11 +158,12 @@ void InstanceUniverse::finalize() {
   }
 
   // Global edge -> instances CSR.
-  edgeInstOffset_.assign(static_cast<std::size_t>(numGlobalEdges_) + 1, 0);
+  const auto numEdges = static_cast<std::size_t>(numGlobalEdges());
+  edgeInstOffset_.assign(numEdges + 1, 0);
   for (const GlobalEdgeId e : pathPool_) {
     ++edgeInstOffset_[static_cast<std::size_t>(e) + 1];
   }
-  for (std::size_t e = 0; e < static_cast<std::size_t>(numGlobalEdges_); ++e) {
+  for (std::size_t e = 0; e < numEdges; ++e) {
     edgeInstOffset_[e + 1] += edgeInstOffset_[e];
   }
   edgeInstances_.resize(pathPool_.size());
@@ -127,14 +178,14 @@ void InstanceUniverse::finalize() {
       }
     }
   }
+}
 
-  if (!instances_.empty()) {
-    profitMax_ = profitMin_ = instances_.front().profit;
-    for (const InstanceRecord& rec : instances_) {
-      profitMax_ = std::max(profitMax_, rec.profit);
-      profitMin_ = std::min(profitMin_, rec.profit);
-    }
-  }
+InstanceUniverse InstanceUniverse::fromTreeProblem(const TreeProblem& problem) {
+  return InstanceUniverse(problem);
+}
+
+InstanceUniverse InstanceUniverse::fromLineProblem(const LineProblem& problem) {
+  return InstanceUniverse(problem);
 }
 
 const InstanceRecord& InstanceUniverse::instance(InstanceId i) const {
@@ -150,54 +201,19 @@ std::span<const GlobalEdgeId> InstanceUniverse::path(InstanceId i) const {
 
 std::span<const InstanceId> InstanceUniverse::instancesOfDemand(
     DemandId d) const {
-  checkIndex(d, numDemands_, "demand id");
+  checkIndex(d, numDemands(), "demand id");
   const auto begin = demandOffset_[static_cast<std::size_t>(d)];
   const auto end = demandOffset_[static_cast<std::size_t>(d) + 1];
   return {demandInstances_.data() + begin,
           static_cast<std::size_t>(end - begin)};
 }
 
-GlobalEdgeId InstanceUniverse::globalEdge(TreeId network, EdgeId e) const {
-  checkIndex(network, numNetworks_, "network id");
-  const GlobalEdgeId g = edgeOffset_[static_cast<std::size_t>(network)] + e;
-  checkThat(g < edgeOffset_[static_cast<std::size_t>(network) + 1],
-            "edge id within network", __FILE__, __LINE__);
-  return g;
-}
-
 std::span<const InstanceId> InstanceUniverse::instancesOnEdge(
     GlobalEdgeId e) const {
-  checkIndex(e, numGlobalEdges_, "global edge id");
+  checkIndex(e, numGlobalEdges(), "global edge id");
   const auto begin = edgeInstOffset_[static_cast<std::size_t>(e)];
   const auto end = edgeInstOffset_[static_cast<std::size_t>(e) + 1];
   return {edgeInstances_.data() + begin, static_cast<std::size_t>(end - begin)};
-}
-
-bool InstanceUniverse::overlapping(InstanceId a, InstanceId b) const {
-  const InstanceRecord& ra = instance(a);
-  const InstanceRecord& rb = instance(b);
-  if (ra.network != rb.network) return false;
-  // Scan the shorter path against a membership test on the longer one.
-  // Line paths are contiguous slot ranges, so compare ranges directly.
-  if (kind_ == Kind::Line) {
-    return ra.u <= rb.v && rb.u <= ra.v;
-  }
-  const auto pa = path(a);
-  const auto pb = path(b);
-  const auto& shorter = pa.size() <= pb.size() ? pa : pb;
-  const auto& longer = pa.size() <= pb.size() ? pb : pa;
-  for (const GlobalEdgeId e : shorter) {
-    if (std::find(longer.begin(), longer.end(), e) != longer.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool InstanceUniverse::conflicting(InstanceId a, InstanceId b) const {
-  if (a == b) return false;
-  if (instance(a).demand == instance(b).demand) return true;
-  return overlapping(a, b);
 }
 
 void InstanceUniverse::buildConflicts() {
@@ -208,16 +224,8 @@ void InstanceUniverse::buildConflicts() {
   std::vector<std::vector<InstanceId>> rows(
       static_cast<std::size_t>(numInstances()));
   for (InstanceId i = 0; i < numInstances(); ++i) {
-    buffer.clear();
-    for (const GlobalEdgeId e : path(i)) {
-      const auto onEdge = instancesOnEdge(e);
-      buffer.insert(buffer.end(), onEdge.begin(), onEdge.end());
-    }
-    const auto sameDemand = instancesOfDemand(instance(i).demand);
-    buffer.insert(buffer.end(), sameDemand.begin(), sameDemand.end());
-    std::sort(buffer.begin(), buffer.end());
-    buffer.erase(std::unique(buffer.begin(), buffer.end()), buffer.end());
-    buffer.erase(std::remove(buffer.begin(), buffer.end(), i), buffer.end());
+    conflictRow(*this, i, path(i), instancesOfDemand(instance(i).demand),
+                buffer);
     rows[static_cast<std::size_t>(i)] = buffer;
   }
   std::int64_t total = 0;
@@ -253,11 +261,6 @@ std::int32_t InstanceUniverse::maxConflictDegree() const {
                               conflictOffset_[static_cast<std::size_t>(i)]);
   }
   return static_cast<std::int32_t>(best);
-}
-
-std::int32_t InstanceUniverse::lineSlots() const {
-  checkThat(kind_ == Kind::Line, "line universe", __FILE__, __LINE__);
-  return lineSlots_;
 }
 
 }  // namespace treesched

@@ -15,12 +15,15 @@
 //  * Lines (§7): groups by demand-instance length (factor-2 buckets,
 //    shortest first); pi(d) = {start, mid, end} slots, Delta = 3. This is
 //    the decomposition implicit in Panconesi-Sozio.
+//
+// Each rule exists once, as a per-instance function over state built
+// once per problem. The static builders run it in one pass over a
+// universe's instances; the DynamicUniverse's layerer runs it on each
+// arrival.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/dynamic_universe.hpp"
 #include "core/universe.hpp"
@@ -28,31 +31,10 @@
 
 namespace treesched {
 
-/// Group assignment + critical edges for every instance of a universe.
-struct Layering {
-  std::int32_t numGroups = 0;
-  /// group[i] in [0, numGroups); group 0 is processed first (epoch 1).
-  std::vector<std::int32_t> group;
-  /// CSR of critical edges per instance (global edge ids, sorted).
-  std::vector<std::int32_t> criticalOffset;
-  std::vector<GlobalEdgeId> criticalPool;
-  /// Measured critical-set size Delta = max |pi(d)|.
-  std::int32_t maxCriticalSize = 0;
-
-  std::span<const GlobalEdgeId> critical(InstanceId i) const {
-    const auto begin = criticalOffset[static_cast<std::size_t>(i)];
-    const auto end = criticalOffset[static_cast<std::size_t>(i) + 1];
-    return {criticalPool.data() + begin, static_cast<std::size_t>(end - begin)};
-  }
-};
-
-/// Tree layering plus the per-network decompositions it was derived from
-/// (the distributed runtime re-uses them).
+/// Result of buildTreeLayering. `Layering` itself lives in
+/// core/universe.hpp, which the dynamic universe's slabs share.
 struct TreeLayeringResult {
   Layering layering;
-  std::vector<TreeDecomposition> decompositions;
-  /// Capture node mu(d) per instance.
-  std::vector<VertexId> captureNodes;
 };
 
 /// Builds the layered decomposition of a tree universe via per-network
@@ -72,73 +54,15 @@ Layering buildLineLayering(const InstanceUniverse& universe);
 std::string checkLayering(const InstanceUniverse& universe,
                           const Layering& layering);
 
-/// Incremental tree layering (Lemma 4.2/4.3) for `DynamicUniverse`: the
-/// per-network decompositions and pivot sets are built once; layer()
-/// then assigns any single instance its group + critical edges from its
-/// own path alone — bit-identical to buildTreeLayering's assignment.
-/// numGroups (max decomposition depth over all networks) and
-/// maxCriticalSize (measured once over the whole pool) are pool
-/// constants, so group numbering is stable under churn.
-class TreeInstanceLayerer final : public InstanceLayerer {
- public:
-  explicit TreeInstanceLayerer(std::shared_ptr<const TreeProblem> problem,
-                               DecompositionKind kind =
-                                   DecompositionKind::Ideal);
-
-  std::int32_t numGroups() const override { return numGroups_; }
-  std::int32_t maxCriticalSize() const override { return maxCriticalSize_; }
-  std::int32_t layer(const InstanceRecord& rec,
-                     std::vector<GlobalEdgeId>& critical) const override;
-
-  /// The persistent per-network decompositions (the distributed runtime
-  /// and tests reuse them).
-  const std::vector<TreeDecomposition>& decompositions() const {
-    return decompositions_;
-  }
-
- private:
-  std::shared_ptr<const TreeProblem> problem_;
-  std::vector<TreeDecomposition> decompositions_;
-  std::vector<std::vector<std::vector<VertexId>>> pivotSets_;
-  std::vector<std::int32_t> localMaxDepth_;  ///< cached per network
-  std::vector<GlobalEdgeId> edgeOffset_;
-  std::int32_t numGroups_ = 0;
-  std::int32_t maxCriticalSize_ = 0;
-};
-
-/// Incremental §7 line layering for `DynamicUniverse`: factor-2 length
-/// buckets against the pool-wide minimum length (a pool constant, so
-/// groups never renumber) and the {start, mid, end} critical slots —
-/// bit-identical to buildLineLayering's assignment.
-class LineInstanceLayerer final : public InstanceLayerer {
- public:
-  explicit LineInstanceLayerer(std::shared_ptr<const LineProblem> problem);
-
-  std::int32_t numGroups() const override { return numGroups_; }
-  std::int32_t maxCriticalSize() const override { return maxCriticalSize_; }
-  std::int32_t layer(const InstanceRecord& rec,
-                     std::vector<GlobalEdgeId>& critical) const override;
-
- private:
-  std::shared_ptr<const LineProblem> problem_;
-  std::int32_t numSlots_ = 0;
-  std::int32_t minLen_ = 1;  ///< pool-wide minimum instance length
-  std::int32_t numGroups_ = 0;
-  std::int32_t maxCriticalSize_ = 0;
-};
-
-/// Builds a DynamicUniverse over a tree problem with its incremental
-/// layerer; stats().buildMs covers the full pool build (decompositions,
-/// pivot sets, pool indexes). The shared_ptr overloads avoid copying
-/// the problem.
+/// Builds a DynamicUniverse over a tree problem (ideal decompositions,
+/// Lemma 4.3) or a line problem (§7). Its layerer applies the same
+/// per-instance rule as buildTreeLayering / buildLineLayering, and a
+/// one-time pool pass fixes the pool constants (group count, Delta) so
+/// group numbering never shifts under churn. The problem is validated
+/// before anything reads it; the shared_ptr overloads avoid copying it.
 DynamicUniverse makeDynamicTreeUniverse(
-    std::shared_ptr<const TreeProblem> problem,
-    DecompositionKind kind = DecompositionKind::Ideal);
-DynamicUniverse makeDynamicTreeUniverse(
-    const TreeProblem& problem,
-    DecompositionKind kind = DecompositionKind::Ideal);
-
-/// Line counterpart of makeDynamicTreeUniverse.
+    std::shared_ptr<const TreeProblem> problem);
+DynamicUniverse makeDynamicTreeUniverse(const TreeProblem& problem);
 DynamicUniverse makeDynamicLineUniverse(
     std::shared_ptr<const LineProblem> problem);
 DynamicUniverse makeDynamicLineUniverse(const LineProblem& problem);

@@ -1,4 +1,4 @@
-// Static factory registry over every scheduler (ROADMAP item 5).
+// Static factory registry over every scheduler.
 //
 // The `solver_t::all().ids(std::regex)` idiom: a process-wide catalogue
 // of scheduler factories, addressable by id string, filterable by

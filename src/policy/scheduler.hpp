@@ -1,4 +1,4 @@
-// The pluggable Scheduler interface (ROADMAP item 5).
+// The pluggable Scheduler interface.
 //
 // A Scheduler solves a *restricted active set* — any subset of a
 // universe's instances — and reports revenue, feasibility and message

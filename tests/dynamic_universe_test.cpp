@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/universe.hpp"
+#include "util/check.hpp"
 #include "decomp/layering.hpp"
 #include "dist/protocol.hpp"
 #include "gen/scenario.hpp"
@@ -59,6 +60,13 @@ void expectLiveViewMatchesStatic(const DynamicUniverse& dynamic,
   ASSERT_EQ(dynamic.numGlobalEdges(), pool.numGlobalEdges()) << where;
   EXPECT_EQ(dynamic.numGroups(), layering.numGroups) << where;
   EXPECT_EQ(dynamic.maxCriticalSize(), layering.maxCriticalSize) << where;
+  // The profit range drives the derived steps-per-stage.
+  EXPECT_EQ(dynamic.profitMax(), pool.profitMax()) << where;
+  EXPECT_EQ(dynamic.profitMin(), pool.profitMin()) << where;
+  ASSERT_EQ(dynamic.kind(), pool.kind()) << where;
+  if (pool.kind() == InstanceUniverse::Kind::Line) {
+    EXPECT_EQ(dynamic.lineSlots(), pool.lineSlots()) << where;
+  }
 
   std::vector<std::uint8_t> liveInstance(
       static_cast<std::size_t>(pool.numInstances()), 0);
@@ -399,6 +407,57 @@ TEST(DynamicUniverse, GroupNumberingStableAcrossGc) {
               groupSnapshot[static_cast<std::size_t>(i)])
         << "instance " << i;
   }
+}
+
+// ---- Malformed problems ------------------------------------------------
+
+/// The CheckError message `build` throws; empty when it does not throw.
+template <class Build>
+std::string checkErrorOf(const Build& build) {
+  try {
+    build();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+// The factories validate before any structure reads the problem: a bad
+// network id or endpoint must surface as the static builder's CheckError,
+// not as an out-of-bounds read in the layerer's pool pass.
+TEST(DynamicUniverse, FactoriesRejectMalformedTreeProblemsLikeTheStaticBuild) {
+  TreeScenarioConfig cfg;
+  cfg.seed = 3;
+  cfg.numVertices = 16;
+  cfg.numNetworks = 2;
+  cfg.demands.numDemands = 6;
+  const TreeProblem valid = makeTreeScenario(cfg);
+  TreeProblem badNetwork = valid;
+  badNetwork.access[0] = {7};
+  TreeProblem badEndpoint = valid;
+  badEndpoint.demands[0].u = 16;
+  for (const TreeProblem* problem : {&badNetwork, &badEndpoint}) {
+    const std::string expected = checkErrorOf(
+        [&] { InstanceUniverse::fromTreeProblem(*problem); });
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(checkErrorOf([&] { makeDynamicTreeUniverse(*problem); }),
+              expected);
+  }
+}
+
+TEST(DynamicUniverse, FactoriesRejectMalformedLineProblemsLikeTheStaticBuild) {
+  LineScenarioConfig cfg;
+  cfg.seed = 3;
+  cfg.numSlots = 32;
+  cfg.numResources = 2;
+  cfg.demands.numDemands = 6;
+  LineProblem badResource = makeLineScenario(cfg);
+  badResource.access[0] = {7};
+  const std::string expected = checkErrorOf(
+      [&] { InstanceUniverse::fromLineProblem(badResource); });
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(checkErrorOf([&] { makeDynamicLineUniverse(badResource); }),
+            expected);
 }
 
 }  // namespace
