@@ -16,9 +16,17 @@
 // (tests/online_transport_test.cpp), so the rows isolate what the wire
 // costs: epochs/sec, physical transmissions and virtual time.
 //
+// The fixed-trace pool sweep holds the churn to demand ids < 200 of a
+// 400-demand flash_crowd_50k pool and replays the same epoch batches
+// against that pool padded with never-arriving copies of its demands, up
+// to 102.4k: every row runs the identical trace (and produces identical
+// epochs), so its per-epoch time isolates what pool size alone costs.
+//
 // Emits BENCH_online.json next to the table; CI uploads it with the
 // other bench reports and the schema guard keeps its keys stable.
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -28,7 +36,9 @@
 #include "dist/protocol.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
+#include "net/live_transport.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "online/churn_engine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -217,6 +227,170 @@ PatternRun runPattern(const std::string& preset, const std::string& pattern,
   return run;
 }
 
+// ---- Fixed-trace pool sweep ----
+
+constexpr std::int32_t kSweepBaseDemands = 400;
+constexpr std::int32_t kSweepChurnedIds = 200;
+
+/// `base` padded to `demands` with copies of its demands (cycling),
+/// appended so no original id moves. Copies never arrive; they only
+/// widen every pool-indexed structure, and keep every pool constant
+/// (profit range, layer count, max critical size) as it was.
+TreeProblem padWithCopies(const TreeProblem& base, std::int32_t demands) {
+  TreeProblem padded = base;
+  for (std::int32_t d = base.numDemands(); d < demands; ++d) {
+    const auto source = static_cast<std::size_t>(d % base.numDemands());
+    Demand demand = base.demands[source];
+    demand.id = d;
+    padded.demands.push_back(demand);
+    padded.access.push_back(base.access[source]);
+  }
+  return padded;
+}
+
+/// Sums the durations of the complete spans carrying one name.
+class SpanTotal final : public TraceSink {
+ public:
+  explicit SpanTotal(const char* name) : name_(name) {}
+  void event(const TraceEvent& e) override {
+    if (e.ph == 'X' && std::strcmp(e.name, name_) == 0) {
+      micros_ += e.durMicros;
+    }
+  }
+  double ms() const { return static_cast<double>(micros_) / 1000.0; }
+
+ private:
+  const char* name_;
+  std::int64_t micros_ = 0;
+};
+
+struct SweepPass {
+  std::vector<double> epochMs;  ///< applyEpoch wall time per epoch
+  double finalProfit = 0;
+  std::int64_t rounds = 0;
+  bool auditClean = true;  ///< every epoch's localViewsConsistent
+};
+
+/// Replays `batches` over `pool` on the sync bus; with `tracer` set the
+/// solver's spans reach its sink.
+SweepPass runSweepPass(const TreeProblem& pool,
+                       const std::vector<EpochBatch>& batches,
+                       OnlineSolverConfig config, Tracer* tracer) {
+  config.tracer = tracer;
+  DynamicUniverse universe = makeDynamicTreeUniverse(pool);
+  const std::unique_ptr<Transport> transport =
+      makeLiveTransport(pool.numDemands(), pool.access, {});
+  IncrementalSolver solver(universe, config, *transport);
+  SweepPass pass;
+  for (const EpochBatch& batch : batches) {
+    const auto begin = std::chrono::steady_clock::now();
+    const EpochOutcome outcome =
+        solver.applyEpoch(batch.arrivals, batch.departures);
+    pass.epochMs.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - begin)
+                               .count());
+    pass.finalProfit = outcome.profit;
+    pass.rounds += outcome.rounds;
+    pass.auditClean = pass.auditClean && outcome.localViewsConsistent;
+  }
+  return pass;
+}
+
+/// The sweep rows: pools of 400, 1.6k, 6.4k, ... up to `maxDemands`,
+/// each timed untraced (ms_per_epoch: the mean, which includes the
+/// first epoch's one-time engine allocation; median_ms_per_epoch: the
+/// steady state) and replayed traced for the engine's per-run reset
+/// (epoch_setup_ms, the engine_setup spans).
+void runFixedTraceSweep(std::uint64_t seed, std::int32_t threads,
+                        std::int32_t maxDemands, bench::JsonReport& json) {
+  const ChurnTreeScenario scenario =
+      makeFlashCrowdTree50k(seed, kSweepBaseDemands);
+  ArrivalConfig arrivals = scenario.arrivals;
+  arrivals.horizon = 512.0;  // 64 epochs
+  arrivals.meanLifetime = 192.0;
+  const std::vector<EpochBatch> batches = batchTrace(
+      generateChurnTrace(arrivals, kSweepChurnedIds), scenario.epochLength);
+  OnlineSolverConfig config;
+  config.seed = seed + 13;
+  config.epsilon = 0.3;
+  config.misRoundBudget = 4;
+  config.stepsPerStage = 2;
+  config.threads = threads;
+
+  Table table({"pool demands", "epochs", "ms/epoch", "median ms",
+               "setup ms/epoch", "x smallest", "final profit", "same epochs",
+               "audit"});
+  double smallestMs = 0;
+  double largestRatio = 0;
+  double largestMedianRatio = 0;
+  double smallestMedianMs = 0;
+  std::int32_t largest = 0;
+  SweepPass smallest;
+  for (std::int32_t demands = kSweepBaseDemands; demands <= maxDemands;
+       demands *= 4) {
+    const TreeProblem pool = padWithCopies(scenario.pool, demands);
+    const SweepPass timed = runSweepPass(pool, batches, config, nullptr);
+    SpanTotal setup("engine_setup");
+    Tracer tracer(&setup);
+    const SweepPass traced = runSweepPass(pool, batches, config, &tracer);
+
+    const auto epochs = static_cast<double>(batches.size());
+    double totalMs = 0;
+    for (const double ms : timed.epochMs) totalMs += ms;
+    const double msPerEpoch = totalMs / epochs;
+    std::vector<double> sorted = timed.epochMs;
+    std::sort(sorted.begin(), sorted.end());
+    const double medianMs = sorted.empty() ? 0 : sorted[sorted.size() / 2];
+    if (demands == kSweepBaseDemands) {
+      smallestMs = msPerEpoch;
+      smallestMedianMs = medianMs;
+      smallest = timed;
+    }
+    const double ratio = smallestMs > 0 ? msPerEpoch / smallestMs : 0.0;
+    const bool sameEpochs = timed.finalProfit == smallest.finalProfit &&
+                            timed.rounds == smallest.rounds &&
+                            traced.finalProfit == timed.finalProfit &&
+                            traced.rounds == timed.rounds;
+    const bool audit = timed.auditClean && traced.auditClean;
+    largest = demands;
+    largestRatio = ratio;
+    largestMedianRatio =
+        smallestMedianMs > 0 ? medianMs / smallestMedianMs : 0.0;
+    table.row()
+        .cell(demands)
+        .cell(static_cast<std::int64_t>(batches.size()))
+        .cell(msPerEpoch, 3)
+        .cell(medianMs, 3)
+        .cell(setup.ms() / epochs, 3)
+        .cell(ratio, 2)
+        .cell(timed.finalProfit, 1)
+        .cell(sameEpochs ? "yes" : "NO")
+        .cell(audit ? "clean" : "STALE");
+    json.row()
+        .field("preset", std::string("flash_crowd_50k"))
+        .field("pattern", std::string("fixed_trace_sweep"))
+        .field("transport", std::string("sync"))
+        .field("demands", demands)
+        .field("churned_ids", kSweepChurnedIds)
+        .field("epochs", static_cast<std::int32_t>(batches.size()))
+        .field("ms_per_epoch", msPerEpoch)
+        .field("median_ms_per_epoch", medianMs)
+        .field("epoch_setup_ms", setup.ms() / epochs)
+        .field("ms_per_epoch_vs_smallest", ratio)
+        .field("final_profit", timed.finalProfit)
+        .field("rounds", timed.rounds)
+        .field("same_epochs_as_smallest", sameEpochs)
+        .field("local_views_consistent", audit);
+  }
+  std::cout << "\nFixed-trace pool sweep (churn on ids < " << kSweepChurnedIds
+            << " of a " << kSweepBaseDemands
+            << "-demand flash_crowd_50k pool; the padding never arrives):\n";
+  table.print(std::cout);
+  std::cout << "ms/epoch at " << largest << " demands vs " << kSweepBaseDemands
+            << ": mean " << largestRatio << "x, median "
+            << largestMedianRatio << "x (target: within 2x)\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -229,6 +403,8 @@ int main(int argc, char** argv) {
                 "pool size of the per-transport matrix (event-driven "
                 "wires are simulated packet by packet)");
   flags.intFlag("threads", 1, "worker threads for the epoch re-solves");
+  flags.intFlag("sweep-max-demands", 102'400,
+                "largest pool of the fixed-trace sweep (400 x 4^k)");
   flags.stringFlag("json", "BENCH_online.json",
                    "machine-readable report path ('' disables)");
   flags.stringFlag("series", "BENCH_online_series.jsonl",
@@ -245,6 +421,8 @@ int main(int argc, char** argv) {
   const auto transportDemands =
       static_cast<std::int32_t>(flags.getInt("transport-demands"));
   const auto threads = static_cast<std::int32_t>(flags.getInt("threads"));
+  const auto sweepMaxDemands =
+      static_cast<std::int32_t>(flags.getInt("sweep-max-demands"));
   bench::Telemetry telemetry(flags);
 
   bench::banner(
@@ -376,6 +554,7 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
+  runFixedTraceSweep(seed, threads, sweepMaxDemands, json);
   if (!flags.getString("json").empty()) {
     json.write();
   }

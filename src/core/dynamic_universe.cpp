@@ -142,8 +142,9 @@ void DynamicUniverse::addDemand(DemandId d) {
     }
   }
 
+  slab->livePos = liveDemands_.size();
+  liveDemands_.push_back(d);
   slabs_[static_cast<std::size_t>(d)] = std::move(slab);
-  ++numLiveDemands_;
   numLiveInstances_ += static_cast<std::int32_t>(count);
   ++stats_.arrivals;
   stats_.extendUs += microsSince(start);
@@ -169,8 +170,12 @@ void DynamicUniverse::retireDemand(DemandId d) {
                   rec.id);
     }
   }
+  // Swap-remove from the live list; the moved demand keeps its slot.
+  const DemandId last = liveDemands_.back();
+  liveDemands_[slab.livePos] = last;
+  slabs_[static_cast<std::size_t>(last)]->livePos = slab.livePos;
+  liveDemands_.pop_back();
   slabs_[static_cast<std::size_t>(d)].reset();
-  --numLiveDemands_;
   numLiveInstances_ -= static_cast<std::int32_t>(count);
   ++stats_.gcDemands;
   stats_.gcInstances += static_cast<std::int64_t>(count);

@@ -146,7 +146,13 @@ class DynamicUniverse : public PoolConstants {
   void retireDemand(DemandId d);
 
   bool isLive(DemandId d) const;
-  std::int32_t numLiveDemands() const { return numLiveDemands_; }
+  std::int32_t numLiveDemands() const {
+    return static_cast<std::int32_t>(liveDemands_.size());
+  }
+  /// The live demands, in no particular order (a retirement moves the
+  /// last one into the freed slot): scans over the live set cost
+  /// O(live), never O(pool).
+  std::span<const DemandId> liveDemands() const { return liveDemands_; }
   std::int32_t numLiveInstances() const { return numLiveInstances_; }
 
   // ---- Live queries (InstanceUniverse-shaped) ----
@@ -198,6 +204,7 @@ class DynamicUniverse : public PoolConstants {
     Layering layers;                          ///< by local instance
     /// Live conflict neighbours per local instance, sorted ascending.
     std::vector<std::vector<InstanceId>> conflicts;
+    std::size_t livePos = 0;  ///< index in liveDemands_
   };
 
   const DemandSlab& slabOf(InstanceId i, DemandId& demand,
@@ -218,7 +225,7 @@ class DynamicUniverse : public PoolConstants {
   /// Live instances per global edge, sorted ascending.
   std::vector<std::vector<InstanceId>> edgeLive_;
 
-  std::int32_t numLiveDemands_ = 0;
+  std::vector<DemandId> liveDemands_;
   std::int32_t numLiveInstances_ = 0;
   UniverseStats stats_;
 };

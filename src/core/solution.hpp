@@ -46,34 +46,50 @@ double solutionProfit(const U& universe, const Solution& sol) {
   return total;
 }
 
-/// Checks feasibility; reports the first violation found.
+/// Checks feasibility; reports the first violation found: a demand
+/// selected twice, else the lowest edge id whose load — added up in
+/// solution order — exceeds capacity. The scratch is sized by the
+/// solution's paths, never by the pool, so checking an online epoch
+/// costs what the epoch admitted.
 template <class U>
 ValidationReport validateSolution(const U& universe, const Solution& sol) {
   ValidationReport report;
-  std::vector<bool> demandUsed(static_cast<std::size_t>(universe.numDemands()),
-                               false);
-  std::vector<double> edgeLoad(
-      static_cast<std::size_t>(universe.numGlobalEdges()), 0.0);
+  struct PathUse {
+    GlobalEdgeId edge = 0;
+    std::size_t seq = 0;  ///< position in solution order
+    double height = 0;
+  };
+  std::vector<DemandId> demands;
+  std::vector<PathUse> uses;
   for (const InstanceId i : sol.instances) {
     const InstanceRecord& rec = universe.instance(i);
-    if (demandUsed[static_cast<std::size_t>(rec.demand)]) {
+    demands.push_back(rec.demand);
+    for (const GlobalEdgeId e : universe.path(i)) {
+      uses.push_back({e, uses.size(), rec.height});
+    }
+  }
+  std::sort(demands.begin(), demands.end());
+  const auto twice = std::adjacent_find(demands.begin(), demands.end());
+  if (twice != demands.end()) {
+    report.feasible = false;
+    std::ostringstream os;
+    os << "demand " << *twice << " selected more than once";
+    report.firstViolation = os.str();
+    return report;
+  }
+  std::sort(uses.begin(), uses.end(), [](const PathUse& a, const PathUse& b) {
+    return a.edge != b.edge ? a.edge < b.edge : a.seq < b.seq;
+  });
+  double load = 0;
+  for (std::size_t k = 0; k < uses.size(); ++k) {
+    if (k == 0 || uses[k].edge != uses[k - 1].edge) load = 0;
+    load += uses[k].height;
+    if (load > 1.0 + kCapacityTolerance) {
       report.feasible = false;
       std::ostringstream os;
-      os << "demand " << rec.demand << " selected more than once";
+      os << "edge " << uses[k].edge << " over capacity (" << load << " > 1)";
       report.firstViolation = os.str();
       return report;
-    }
-    demandUsed[static_cast<std::size_t>(rec.demand)] = true;
-    for (const GlobalEdgeId e : universe.path(i)) {
-      edgeLoad[static_cast<std::size_t>(e)] += rec.height;
-      if (edgeLoad[static_cast<std::size_t>(e)] > 1.0 + kCapacityTolerance) {
-        report.feasible = false;
-        std::ostringstream os;
-        os << "edge " << e << " over capacity ("
-           << edgeLoad[static_cast<std::size_t>(e)] << " > 1)";
-        report.firstViolation = os.str();
-        return report;
-      }
     }
   }
   return report;
@@ -152,6 +168,22 @@ class BasicFeasibilityOracle {
 
   const Solution& solution() const { return solution_; }
   double profit() const { return profit_; }
+
+  /// Empties the oracle in O(admitted): the loads on the admitted
+  /// instances' paths are zeroed exactly (no subtraction residue), so a
+  /// long-lived oracle never pays a pool-sized reset. Every admitted
+  /// instance must still be in the universe.
+  void clear() {
+    for (const InstanceId i : solution_.instances) {
+      demandUsed_[static_cast<std::size_t>(universe_.instance(i).demand)] =
+          false;
+      for (const GlobalEdgeId e : universe_.path(i)) {
+        edgeLoad_[static_cast<std::size_t>(e)] = 0.0;
+      }
+    }
+    solution_.instances.clear();
+    profit_ = 0;
+  }
 
  private:
   const U& universe_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 
 #include "core/dynamic_universe.hpp"
 #include "core/tolerances.hpp"
@@ -18,6 +20,7 @@
 #include "obs/observer_adapter.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/touched_ids.hpp"
 
 namespace treesched {
 namespace {
@@ -47,7 +50,10 @@ struct ProcessorContext {
   DemandId self = 0;
   double alpha = 0;  ///< alpha(self), the demand's own dual
   std::vector<GlobalEdgeId> tracked;               ///< sorted
-  std::vector<std::vector<InstanceId>> ownOnEdge;  ///< per tracked edge
+  /// Own instances per tracked edge, flattened: those on tracked edge
+  /// idx are own[ownBegin[idx], ownBegin[idx + 1]), ascending.
+  std::vector<std::int32_t> ownBegin;
+  std::vector<InstanceId> own;
   std::vector<double> beta;  ///< per tracked edge, local view
   std::vector<double> load;  ///< per tracked edge, phase-2 accepted load
 
@@ -61,14 +67,38 @@ struct ProcessorContext {
     }
     std::sort(tracked.begin(), tracked.end());
     tracked.erase(std::unique(tracked.begin(), tracked.end()), tracked.end());
-    ownOnEdge.resize(tracked.size());
+    // Counting sort into the flat lists: count per edge, prefix-sum,
+    // place (ownBegin[idx] runs ahead as the cursor), then shift back.
+    ownBegin.assign(tracked.size() + 1, 0);
     for (const InstanceId i : u.instancesOfDemand(p)) {
       for (const GlobalEdgeId e : u.path(i)) {
-        ownOnEdge[static_cast<std::size_t>(trackedIndex(e))].push_back(i);
+        ++ownBegin[static_cast<std::size_t>(trackedIndex(e)) + 1];
       }
     }
+    for (std::size_t idx = 1; idx < ownBegin.size(); ++idx) {
+      ownBegin[idx] += ownBegin[idx - 1];
+    }
+    own.resize(static_cast<std::size_t>(ownBegin.back()));
+    for (const InstanceId i : u.instancesOfDemand(p)) {
+      for (const GlobalEdgeId e : u.path(i)) {
+        own[static_cast<std::size_t>(
+            ownBegin[static_cast<std::size_t>(trackedIndex(e))]++)] = i;
+      }
+    }
+    for (std::size_t idx = ownBegin.size() - 1; idx > 0; --idx) {
+      ownBegin[idx] = ownBegin[idx - 1];
+    }
+    ownBegin[0] = 0;
     beta.assign(tracked.size(), 0.0);
     load.assign(tracked.size(), 0.0);
+  }
+
+  /// Zeroes the dual view and the loads, keeping the tracked edges (a
+  /// context lives as long as its demand; its views are per run).
+  void clearView() {
+    alpha = 0;
+    std::fill(beta.begin(), beta.end(), 0.0);
+    std::fill(load.begin(), load.end(), 0.0);
   }
 
   /// Position of `e` in the tracked-edge list, or -1.
@@ -95,8 +125,10 @@ struct ProcessorContext {
     for (const GlobalEdgeId e : lay.critical(raise.instance)) {
       const std::int32_t idx = trackedIndex(e);
       if (idx < 0) continue;
-      beta[static_cast<std::size_t>(idx)] += raise.betaIncrement;
-      for (const InstanceId k : ownOnEdge[static_cast<std::size_t>(idx)]) {
+      const auto slot = static_cast<std::size_t>(idx);
+      beta[slot] += raise.betaIncrement;
+      for (std::int32_t o = ownBegin[slot]; o < ownBegin[slot + 1]; ++o) {
+        const InstanceId k = own[static_cast<std::size_t>(o)];
         const double factor =
             rule == RaiseRule::Narrow ? u.instance(k).height : 1.0;
         lhsLocal[static_cast<std::size_t>(k)] +=
@@ -134,6 +166,30 @@ struct ProcessorContext {
   }
 };
 
+/// Attaches the engine's runner and telemetry to the caller-owned
+/// transport for one run and detaches them on every exit path, so the
+/// transport never holds pointers into an engine between runs.
+class TransportAttachment {
+ public:
+  TransportAttachment(Transport& net, ParallelRunner& runner,
+                      const DistributedOptions& options)
+      : net_(net) {
+    net_.attachTelemetry(options.tracer, options.metrics);
+    net_.attachRunner(&runner);
+  }
+  ~TransportAttachment() {
+    net_.attachRunner(nullptr);
+    net_.attachTelemetry(nullptr, nullptr);
+  }
+  TransportAttachment(const TransportAttachment&) = delete;
+  TransportAttachment& operator=(const TransportAttachment&) = delete;
+
+ private:
+  Transport& net_;
+};
+
+}  // namespace
+
 /// The whole simulation: per-processor contexts plus the ground-truth
 /// duals used for the consistency audit. Round loops iterate active sets
 /// (undecided instances, processors with non-empty inboxes); the
@@ -147,17 +203,25 @@ struct ProcessorContext {
 /// engine makes has identical semantics on the live restriction, so the
 /// instantiations are bit-identical on the same warm-start set — the
 /// dynamic_universe equivalence gate.
+///
+/// Persistent state and its per-run reset. The pool-dense arrays are
+/// allocated once. A run writes the ground duals of its raises (the
+/// DualState records which ids), the LHS views of the instances those
+/// raises reach, and the contexts of the processors it involves
+/// (runProcs_). beginRun() undoes exactly that before the next run, so a
+/// run's set-up costs O(what the previous run touched + the new
+/// restriction). Per-phase scratch (MIS status, phase-2 demand flags, the
+/// ledger's certificate state) is left clean by the phase that dirtied
+/// it.
 template <class U, class L>
-class ProtocolEngine {
+class ProtocolEngine<U, L>::Impl {
  public:
-  ProtocolEngine(const U& universe, const L& layering, Transport& transport,
-                 const DistributedOptions& options, const WarmStart& warm)
+  Impl(const U& universe, const L& layering, Transport& transport,
+       const DistributedOptions& options)
       : u_(universe),
         lay_(layering),
-        opt_(options),
-        tracing_(options.tracer, options.metrics, options.observer),
-        obs_(options.observer != nullptr ? options.observer : &nullObserver_),
         net_(transport),
+        fixed_(options),
         runner_(std::max<std::int32_t>(1, options.threads)),
         plan_(makeStagePlan(SchedulePolicy::Staged, options.rule,
                             options.epsilon,
@@ -165,17 +229,154 @@ class ProtocolEngine {
                             options.hmin)),
         numProc_(universe.numDemands()),
         groundDual_(universe),
-        groundLhs_(universe, options.rule) {
-    // With a tracer or a registry attached, the adapter becomes the
-    // engine's observer (forwarding to the caller's). Without either it
-    // is bypassed entirely — the telemetry-off path is the seed path.
-    if (tracing_.active()) {
-      obs_ = &tracing_;
-    }
+        groundLhs_(universe, options.rule),
+        lhsLocal_(static_cast<std::size_t>(universe.numInstances()), 0.0),
+        contexts_(static_cast<std::size_t>(numProc_)),
+        runProcs_(static_cast<std::size_t>(numProc_)),
+        crashed_(static_cast<std::size_t>(numProc_), std::uint8_t{0}),
+        demandUsed_(static_cast<std::size_t>(numProc_), std::uint8_t{0}),
+        misStatus_(static_cast<std::size_t>(universe.numInstances()),
+                   MisStatus::Inactive),
+        priority_(static_cast<std::size_t>(universe.numInstances()), 0),
+        members_(static_cast<std::size_t>(layering.numGroups)) {
     checkThat(u_.conflictsBuilt(), "conflicts built before protocol run",
               __FILE__, __LINE__);
     checkThat(net_.numProcessors() == numProc_,
               "one processor per demand", __FILE__, __LINE__);
+
+    // Contexts of the demands present now, built in parallel. Context
+    // cost is proportional to the demand's instance count, so the plan
+    // is weighted — a hot demand owning most of the pool's instances
+    // gets its own shard instead of serializing a uniform one. The
+    // runner's telemetry attaches first, so the build's shard claims
+    // reach `engine.claims` like every later section's.
+    runner_.attachTelemetry(options.tracer, options.metrics);
+    std::vector<DemandId> present;
+    for (DemandId p = 0; p < numProc_; ++p) {
+      const auto count = u_.instancesOfDemand(p).size();
+      if (count == 0) continue;
+      present.push_back(p);
+      weightScratch_.push_back(static_cast<std::int64_t>(count));
+      contexts_[static_cast<std::size_t>(p)] =
+          std::make_unique<ProcessorContext>();
+    }
+    if (present.empty()) return;
+    runner_.planWeighted(weightScratch_, weightedPlan_);
+    runner_.forShards(weightedPlan_, [&](std::int32_t shard) {
+      const std::int64_t end = weightedPlan_.end(shard);
+      for (std::int64_t idx = weightedPlan_.begin(shard); idx < end; ++idx) {
+        const DemandId p = present[static_cast<std::size_t>(idx)];
+        contexts_[static_cast<std::size_t>(p)]->init(u_, p);
+      }
+    });
+  }
+
+  void addProcessor(DemandId d) {
+    checkIndex(d, numProc_, "arriving processor");
+    auto& context = contexts_[static_cast<std::size_t>(d)];
+    checkThat(context == nullptr, "processor context not yet built",
+              __FILE__, __LINE__);
+    context = std::make_unique<ProcessorContext>();
+    context->init(u_, d);
+    // The LHS views of d's instances may hold what a run wrote before d
+    // last departed; start them level.
+    for (const InstanceId k : u_.instancesOfDemand(d)) {
+      setLhs(k, 0.0);
+    }
+  }
+
+  void removeProcessor(DemandId d) {
+    checkIndex(d, numProc_, "departing processor");
+    contexts_[static_cast<std::size_t>(d)].reset();
+  }
+
+  DistributedResult run(const DistributedOptions& options,
+                        const WarmStart& warm) {
+    checkThat(options.epsilon == fixed_.epsilon &&
+                  options.rule == fixed_.rule && options.hmin == fixed_.hmin &&
+                  options.threads == fixed_.threads,
+              "stage-plan options (epsilon, rule, hmin, threads) are fixed "
+              "per engine",
+              __FILE__, __LINE__);
+    // Phase scratch is cleaned by the phase itself, so a run that threw
+    // midway leaves state no reset undoes.
+    checkThat(!runInFlight_, "an engine whose run threw is not reused",
+              __FILE__, __LINE__);
+    runInFlight_ = true;
+    Tracer* tracer = options.tracer;
+    const bool trace = tracer != nullptr && tracer->enabled();
+    const std::int64_t setupBegin = trace ? tracer->now() : 0;
+    beginRun(options, warm);
+    const TransportAttachment attachment(net_, runner_, opt_);
+    if (trace) {
+      tracer->span("engine_setup", "engine", 0, setupBegin,
+                   {{"restricted",
+                     static_cast<std::int64_t>(restricted_.size())}});
+    }
+
+    runPhase1();
+    measureSlackness();
+    auditLocalViews();
+    runPhase2();
+
+    DistributedResult result;
+    std::sort(acceptOrder_.begin(), acceptOrder_.end());
+    result.solution.instances = std::move(acceptOrder_);
+    result.profit = profit_;
+    result.dualObjective = groundDual_.objective();
+    result.lambdaTarget = plan_.lambdaTarget;
+    result.lambdaMeasured = lambdaMeasured_;
+    result.dualUpperBound =
+        lambdaMeasured_ > 0 ? result.dualObjective / lambdaMeasured_
+                            : std::numeric_limits<double>::infinity();
+    result.network = net_.stats();
+    result.scheduledSteps = scheduledSteps_;
+    result.activeSteps = activeSteps_;
+    result.raises = raises_;
+    result.crashedProcessors = crashedCount_;
+    result.localViewsConsistent = localViewsConsistent_;
+    result.raiseLog = std::move(raiseLog_);
+    result.engineClaims = runner_.claims() - claimsReported_;
+    result.engineSteals = runner_.steals() - stealsReported_;
+    claimsReported_ = runner_.claims();
+    stealsReported_ = runner_.steals();
+    requireFeasible(u_, result.solution);
+    runInFlight_ = false;
+    return result;
+  }
+
+ private:
+  /// Undoes the previous run's writes, then installs this run's options,
+  /// restriction, warm-start LHS, faults and observer.
+  void beginRun(const DistributedOptions& options, const WarmStart& warm) {
+    // LHS views: the ground tracker wrote exactly the instances of the
+    // raised demands and the instances on the raised edges, and every
+    // local write is one of those. Instances that left the universe
+    // since are skipped here and levelled by addProcessor on return.
+    for (const DemandId d : groundDual_.touchedDemands()) {
+      for (const InstanceId k : u_.instancesOfDemand(d)) setLhs(k, 0.0);
+    }
+    for (const GlobalEdgeId e : groundDual_.touchedEdges()) {
+      for (const InstanceId k : u_.instancesOnEdge(e)) setLhs(k, 0.0);
+    }
+    groundDual_.reset();
+    for (const DemandId p : runProcs_.ids()) {
+      if (ProcessorContext* context = contextOf(p)) context->clearView();
+    }
+    runProcs_.clear();
+    for (const DemandId d : crashList_) {
+      crashed_[static_cast<std::size_t>(d)] = 0;
+    }
+
+    opt_ = options;
+    tracing_.emplace(opt_.tracer, opt_.metrics, opt_.observer);
+    // With a tracer or a registry attached, the adapter becomes the
+    // engine's observer (forwarding to the caller's). Without either it
+    // is bypassed entirely — the telemetry-off path is the seed path.
+    obs_ = tracing_->active()          ? &*tracing_
+           : opt_.observer != nullptr ? opt_.observer
+                                      : &nullObserver_;
+    runner_.attachTelemetry(opt_.tracer, opt_.metrics);
 
     stepsPerStage_ = opt_.stepsPerStage;
     if (stepsPerStage_ == 0) {
@@ -186,7 +387,8 @@ class ProtocolEngine {
                       plan_.numStages * stepsPerStage_;
 
     const std::int32_t numInst = u_.numInstances();
-    members_.resize(static_cast<std::size_t>(lay_.numGroups));
+    for (auto& group : members_) group.clear();
+    restricted_.clear();
     if (warm.activeInstances.empty()) {
       for (InstanceId i = 0; i < numInst; ++i) {
         members_[static_cast<std::size_t>(
@@ -211,107 +413,67 @@ class ProtocolEngine {
       }
     }
 
-    if (warm.priorLhs.empty()) {
-      lhsLocal_.assign(static_cast<std::size_t>(numInst), 0.0);
-    } else {
+    // Warm start: only the restricted instances' LHS feed a decision
+    // (the satisfaction filter, the raise slack, lambda), so only they
+    // are seeded; both views start level, which is all the audit needs
+    // elsewhere.
+    if (!warm.priorLhs.empty()) {
       checkThat(warm.priorLhs.size() == static_cast<std::size_t>(numInst),
                 "warm-start priorLhs covers every instance", __FILE__,
                 __LINE__);
-      lhsLocal_ = warm.priorLhs;
-      groundLhs_.preload(warm.priorLhs);
     }
-    misStatus_.assign(static_cast<std::size_t>(numInst), MisStatus::Inactive);
-    priority_.assign(static_cast<std::size_t>(numInst), 0);
+    for (const InstanceId i : restricted_) {
+      setLhs(i, warm.priorLhs.empty()
+                    ? 0.0
+                    : warm.priorLhs[static_cast<std::size_t>(i)]);
+    }
 
-    // Crash-stop fault set.
-    crashed_.assign(static_cast<std::size_t>(numProc_), std::uint8_t{0});
+    // Crash-stop fault set (ascending, duplicate-free), validated before
+    // it is kept: the next run's reset indexes by it.
     for (const DemandId d : opt_.crashProcessors) {
       checkIndex(d, numProc_, "crashProcessors entry");
-      if (crashed_[static_cast<std::size_t>(d)] == 0) {
-        crashed_[static_cast<std::size_t>(d)] = 1;
-        ++crashedCount_;
-      }
     }
-
-    // Per-processor contexts: independent, so built in parallel. Context
-    // cost is proportional to the demand's instance count, so the plan
-    // is weighted — a hot demand owning most of the pool's instances
-    // gets its own shard instead of serializing a uniform one.
-    contexts_.resize(static_cast<std::size_t>(numProc_));
-    weightScratch_.resize(static_cast<std::size_t>(numProc_));
-    for (DemandId p = 0; p < numProc_; ++p) {
-      weightScratch_[static_cast<std::size_t>(p)] =
-          static_cast<std::int64_t>(u_.instancesOfDemand(p).size());
+    crashList_.assign(opt_.crashProcessors.begin(),
+                      opt_.crashProcessors.end());
+    std::sort(crashList_.begin(), crashList_.end());
+    crashList_.erase(std::unique(crashList_.begin(), crashList_.end()),
+                     crashList_.end());
+    for (const DemandId d : crashList_) {
+      crashed_[static_cast<std::size_t>(d)] = 1;
     }
-    // The runner is engine-owned, so its telemetry can attach before the
-    // first parallel section: the context build's shard claims then
-    // reach `engine.claims` like every later section's.
-    runner_.attachTelemetry(opt_.tracer, opt_.metrics);
-    runner_.planWeighted(weightScratch_, weightedPlan_);
-    runner_.forShards(weightedPlan_, [&](std::int32_t shard) {
-      const std::int64_t end = weightedPlan_.end(shard);
-      for (std::int64_t p = weightedPlan_.begin(shard); p < end; ++p) {
-        contexts_[static_cast<std::size_t>(p)].init(
-            u_, static_cast<DemandId>(p));
-      }
-    });
+    crashedCount_ = static_cast<std::int32_t>(crashList_.size());
+    crashAnnounced_ = false;
 
     // Decision provenance (obs/ledger.hpp): with an ENABLED ledger the
     // engine keeps the global certificate state phase 2 consults to name
-    // a rejection's blocker. Allocation is guarded — a null or disabled
-    // ledger leaves the hot loop exactly on the seed path (the
+    // a rejection's blocker, allocated at the first such run. A null or
+    // disabled ledger leaves the hot loop exactly on the seed path (the
     // zero-allocation gate in tests/provenance_test.cpp).
     ledgerOn_ = opt_.ledger != nullptr && opt_.ledger->enabled();
-    if (ledgerOn_) {
+    if (ledgerOn_ && acceptedOfDemand_.empty()) {
       acceptedOfDemand_.assign(static_cast<std::size_t>(numProc_),
                                kNoInstance);
       firstLoaderOfEdge_.assign(groundDual_.numEdges(), kNoInstance);
       ledgerEdgeLoad_.assign(groundDual_.numEdges(), 0.0);
     }
 
-    // Attach the caller-owned transport LAST: everything above can throw,
-    // and the destructor (which detaches) only runs for fully constructed
-    // engines — attaching any earlier could leave the transport holding
-    // dangling runner/telemetry pointers.
-    net_.attachTelemetry(opt_.tracer, opt_.metrics);
-    net_.attachRunner(&runner_);
+    stackTuples_.clear();
+    stackBegin_.clear();
+    stackMembers_.clear();
+    raiseLog_.clear();
+    acceptOrder_.clear();
+    activeSteps_ = 0;
+    raises_ = 0;
+    profit_ = 0;
+    lambdaMeasured_ = 0;
+    localViewsConsistent_ = false;
   }
 
-  ~ProtocolEngine() {
-    net_.attachRunner(nullptr);
-    net_.attachTelemetry(nullptr, nullptr);
+  void setLhs(InstanceId k, double value) {
+    lhsLocal_[static_cast<std::size_t>(k)] = value;
+    groundLhs_.set(k, value);
   }
 
-  DistributedResult run() {
-    runPhase1();
-    measureSlackness();
-    auditLocalViews();
-    runPhase2();
-
-    DistributedResult result;
-    std::sort(acceptOrder_.begin(), acceptOrder_.end());
-    result.solution.instances = std::move(acceptOrder_);
-    result.profit = profit_;
-    result.dualObjective = groundDual_.objective();
-    result.lambdaTarget = plan_.lambdaTarget;
-    result.lambdaMeasured = lambdaMeasured_;
-    result.dualUpperBound =
-        lambdaMeasured_ > 0 ? result.dualObjective / lambdaMeasured_
-                            : std::numeric_limits<double>::infinity();
-    result.network = net_.stats();
-    result.scheduledSteps = scheduledSteps_;
-    result.activeSteps = activeSteps_;
-    result.raises = raises_;
-    result.crashedProcessors = crashedCount_;
-    result.localViewsConsistent = localViewsConsistent_;
-    result.raiseLog = std::move(raiseLog_);
-    result.engineClaims = runner_.claims();
-    result.engineSteals = runner_.steals();
-    requireFeasible(u_, result.solution);
-    return result;
-  }
-
- private:
   DemandId owner(InstanceId i) const { return u_.instance(i).demand; }
 
   /// Same answer as InstanceUniverse::conflicting(v, w) for v != w, but
@@ -330,6 +492,10 @@ class ProtocolEngine {
   /// Alive during phase 2: every listed processor is dead by then.
   bool aliveP2(DemandId p) const {
     return crashed_[static_cast<std::size_t>(p)] == 0;
+  }
+
+  ProcessorContext* contextOf(DemandId p) {
+    return contexts_[static_cast<std::size_t>(p)].get();
   }
 
   /// Parallel order-preserving filter: shard outputs are concatenated by
@@ -438,16 +604,14 @@ class ProtocolEngine {
       return;
     }
     crashAnnounced_ = true;
-    for (DemandId p = 0; p < numProc_; ++p) {
-      if (crashed_[static_cast<std::size_t>(p)] != 0) {
-        obs_->onCrash(p, tuple);
-        if (ledgerOn_) {
-          LedgerEvent ev;
-          ev.demand = p;
-          ev.kind = LedgerEventKind::Crash;
-          ev.tuple = tuple;
-          opt_.ledger->record(ev);
-        }
+    for (const DemandId p : crashList_) {
+      obs_->onCrash(p, tuple);
+      if (ledgerOn_) {
+        LedgerEvent ev;
+        ev.demand = p;
+        ev.kind = LedgerEventKind::Crash;
+        ev.tuple = tuple;
+        opt_.ledger->record(ev);
       }
     }
   }
@@ -647,7 +811,9 @@ class ProtocolEngine {
     net_.endRound();
     if (!misMembers.empty()) {
       stackTuples_.push_back(tuple);
-      stackSets_.push_back(misMembers);
+      stackBegin_.push_back(stackMembers_.size());
+      stackMembers_.insert(stackMembers_.end(), misMembers.begin(),
+                           misMembers.end());
     }
 
     // Active processors: non-empty inbox or an own raise. Everyone else
@@ -661,6 +827,7 @@ class ProtocolEngine {
     std::sort(activeProcs_.begin(), activeProcs_.end());
     activeProcs_.erase(std::unique(activeProcs_.begin(), activeProcs_.end()),
                        activeProcs_.end());
+    markRunProcs(activeProcs_);
     // Apply cost per processor is dominated by its inbox length (this
     // round's raise traffic — i.e. the step participants just observed),
     // so that feeds the weighted plan: a hotspot processor receiving
@@ -689,7 +856,9 @@ class ProtocolEngine {
     if (it != stepRaises_.end() && it->from == p) {
       own = &*it;
     }
-    ProcessorContext& context = contexts_[static_cast<std::size_t>(p)];
+    ProcessorContext* found = contextOf(p);
+    if (found == nullptr) return;  // no instances: nothing to track
+    ProcessorContext& context = *found;
     bool ownApplied = own == nullptr;
     for (const Message& m : net_.inbox(p)) {
       if (m.kind != MessageKind::DualRaise) continue;
@@ -717,19 +886,39 @@ class ProtocolEngine {
     lambdaMeasured_ = any ? lambda : 1.0;
   }
 
+  /// Records processors whose context this run writes (serial callers
+  /// only), so the next run's reset and this run's audit visit exactly
+  /// them.
+  void markRunProcs(const std::vector<std::int32_t>& procs) {
+    for (const std::int32_t p : procs) runProcs_.mark(p);
+  }
+
   /// Exact-equality audit of every surviving processor's local dual view
-  /// against the ground truth of the raises that actually happened.
+  /// against the ground truth of the raises that actually happened. It
+  /// walks the processors of the run: those that applied a message, plus
+  /// every owner of a raised demand or of an instance on a raised edge —
+  /// all processors whose ground view moved, delivered to or not. Every
+  /// other processor holds zeros against zeros and cannot differ.
   void auditLocalViews() {
+    for (const DemandId d : groundDual_.touchedDemands()) runProcs_.mark(d);
+    for (const GlobalEdgeId e : groundDual_.touchedEdges()) {
+      for (const InstanceId k : u_.instancesOnEdge(e)) {
+        runProcs_.mark(owner(k));
+      }
+    }
     localViewsConsistent_ = true;
-    for (DemandId p = 0; p < numProc_; ++p) {
+    for (const DemandId p : runProcs_.ids()) {
       if (!aliveP2(p)) continue;
-      const ProcessorContext& context =
-          contexts_[static_cast<std::size_t>(p)];
-      if (context.alpha != groundDual_.alpha(p)) {
+      const ProcessorContext* context = contextOf(p);
+      if (context == nullptr) {
+        if (groundDual_.alpha(p) != 0.0) localViewsConsistent_ = false;
+        continue;
+      }
+      if (context->alpha != groundDual_.alpha(p)) {
         localViewsConsistent_ = false;
       }
-      for (std::size_t idx = 0; idx < context.tracked.size(); ++idx) {
-        if (context.beta[idx] != groundDual_.beta(context.tracked[idx])) {
+      for (std::size_t idx = 0; idx < context->tracked.size(); ++idx) {
+        if (context->beta[idx] != groundDual_.beta(context->tracked[idx])) {
           localViewsConsistent_ = false;
         }
       }
@@ -802,13 +991,15 @@ class ProtocolEngine {
     announceCrashes(scheduledSteps_, /*phase2=*/true);
     std::int64_t accepts = 0;
     std::int64_t rejects = 0;
-    std::vector<std::uint8_t> demandUsed(static_cast<std::size_t>(numProc_),
-                                         0);
     std::size_t sp = stackTuples_.size();
     for (std::int64_t t = scheduledSteps_ - 1; t >= 0; --t) {
       if (sp > 0 && stackTuples_[sp - 1] == t) {
         --sp;
-        for (const InstanceId i : stackSets_[sp]) {
+        const std::size_t setEnd = sp + 1 < stackBegin_.size()
+                                       ? stackBegin_[sp + 1]
+                                       : stackMembers_.size();
+        for (std::size_t m = stackBegin_[sp]; m < setEnd; ++m) {
+          const InstanceId i = stackMembers_[m];
           const DemandId p = owner(i);
           if (!aliveP2(p)) {
             obs_->onReject(t, i, RejectReason::OwnerCrashed);
@@ -816,7 +1007,7 @@ class ProtocolEngine {
             ++rejects;
             continue;
           }
-          if (demandUsed[static_cast<std::size_t>(p)] != 0) {
+          if (demandUsed_[static_cast<std::size_t>(p)] != 0) {
             obs_->onReject(t, i, RejectReason::DemandSatisfied);
             if (ledgerOn_) {
               ledgerReject(t, i, p, RejectReason::DemandSatisfied);
@@ -824,7 +1015,7 @@ class ProtocolEngine {
             ++rejects;
             continue;
           }
-          ProcessorContext& context = contexts_[static_cast<std::size_t>(p)];
+          ProcessorContext& context = *contextOf(p);
           if (!context.capacityOk(u_, i)) {
             obs_->onReject(t, i, RejectReason::CapacityExceeded);
             if (ledgerOn_) {
@@ -833,7 +1024,8 @@ class ProtocolEngine {
             ++rejects;
             continue;
           }
-          demandUsed[static_cast<std::size_t>(p)] = 1;
+          demandUsed_[static_cast<std::size_t>(p)] = 1;
+          runProcs_.mark(p);
           context.addLoad(u_, i);
           net_.broadcast({MessageKind::Accept, p, i, 0.0});
           obs_->onAccept(t, i);
@@ -847,6 +1039,7 @@ class ProtocolEngine {
       // Only processors that received an Accept have loads to update.
       activeProcs_.clear();
       net_.appendActiveInboxes(activeProcs_);
+      markRunProcs(activeProcs_);
       forEachParallelWeighted(
           activeProcs_,
           [&](std::int32_t p) {
@@ -854,59 +1047,79 @@ class ProtocolEngine {
           },
           [&](std::int32_t p) {
             if (!aliveP2(p)) return;
-            ProcessorContext& context =
-                contexts_[static_cast<std::size_t>(p)];
+            ProcessorContext* context = contextOf(p);
+            if (context == nullptr) return;
             for (const Message& m : net_.inbox(p)) {
               if (m.kind != MessageKind::Accept) continue;
-              context.addLoad(u_, m.instance);
+              context->addLoad(u_, m.instance);
             }
           });
     }
     obs_->onPhase2Complete(accepts, rejects);
+
+    // Leave the per-demand flags and the ledger's certificate state clean
+    // for the next run, in O(accepted).
+    for (const InstanceId i : acceptOrder_) {
+      demandUsed_[static_cast<std::size_t>(owner(i))] = 0;
+      if (!ledgerOn_) continue;
+      acceptedOfDemand_[static_cast<std::size_t>(owner(i))] = kNoInstance;
+      for (const GlobalEdgeId e : u_.path(i)) {
+        firstLoaderOfEdge_[static_cast<std::size_t>(e)] = kNoInstance;
+        ledgerEdgeLoad_[static_cast<std::size_t>(e)] = 0.0;
+      }
+    }
   }
 
   const U& u_;
   const L& lay_;
-  DistributedOptions opt_;
-  TracingObserver tracing_;  ///< telemetry adapter (inactive when unused)
-  NullObserver nullObserver_;
-  ProtocolObserver* obs_;
   Transport& net_;
+  /// The construction options: their stage-plan fields bind every run.
+  const DistributedOptions fixed_;
+  DistributedOptions opt_;  ///< the current run's options
+  std::optional<TracingObserver> tracing_;  ///< telemetry adapter, per run
+  NullObserver nullObserver_;
+  ProtocolObserver* obs_ = &nullObserver_;
   ParallelRunner runner_;
   StagePlan plan_;
   std::int32_t numProc_ = 0;
   std::int32_t stepsPerStage_ = 0;
   std::int64_t scheduledSteps_ = 0;
-  std::vector<std::vector<InstanceId>> members_;
-  /// The instances this run may raise (ascending) — everything on a full
-  /// run, the warm-start restriction otherwise. Slackness is measured
-  /// over exactly this set.
-  std::vector<InstanceId> restricted_;
-
-  // Per-processor contexts plus the owner-indexed lhs views (entry i is
-  // written only by owner(i)'s context).
-  std::vector<ProcessorContext> contexts_;
-  std::vector<double> lhsLocal_;
-
-  // Decision provenance (enabled ledger only): global certificate state
-  // phase 2 consults to name a rejection's blocker. Empty otherwise.
-  bool ledgerOn_ = false;
-  std::vector<InstanceId> acceptedOfDemand_;
-  std::vector<InstanceId> firstLoaderOfEdge_;
-  std::vector<double> ledgerEdgeLoad_;
+  /// Runner totals already reported by earlier runs.
+  std::int64_t claimsReported_ = 0;
+  std::int64_t stealsReported_ = 0;
+  bool runInFlight_ = false;  ///< true from run() entry to its return
 
   // Ground truth for the audit and the reported dual objective.
   DualState groundDual_;
   BasicLhsTracker<U> groundLhs_;
 
+  // Per-processor contexts (null for demands with no instances) plus the
+  // owner-indexed lhs views (entry i is written only by owner(i)'s
+  // context). runProcs_ lists the processors this run involves.
+  std::vector<double> lhsLocal_;
+  std::vector<std::unique_ptr<ProcessorContext>> contexts_;
+  TouchedIds runProcs_;
+
   // Faults (uint8, not vector<bool>: read concurrently from shards).
   std::vector<std::uint8_t> crashed_;
+  std::vector<DemandId> crashList_;  ///< this run's, ascending
   std::int32_t crashedCount_ = 0;
   bool crashAnnounced_ = false;  ///< onCrash fired (once per run)
 
-  // Per-step scratch, reused across steps to keep the hot loop
+  // Phase 2: demands already admitted this run (clean between runs).
+  std::vector<std::uint8_t> demandUsed_;
+
+  // Decision provenance (enabled ledger only): global certificate state
+  // phase 2 consults to name a rejection's blocker. Empty until a run
+  // enables the ledger.
+  bool ledgerOn_ = false;
+  std::vector<InstanceId> acceptedOfDemand_;
+  std::vector<InstanceId> firstLoaderOfEdge_;
+  std::vector<double> ledgerEdgeLoad_;
+
+  // Per-step scratch, reused across steps and runs to keep the hot loop
   // allocation-free after warmup.
-  std::vector<MisStatus> misStatus_;
+  std::vector<MisStatus> misStatus_;     ///< Inactive outside a step
   std::vector<std::uint64_t> priority_;  ///< per instance, current round
   std::vector<InstanceId> stageActive_;
   std::vector<InstanceId> unsatisfied_;
@@ -921,9 +1134,17 @@ class ProtocolEngine {
   std::vector<PendingRaise> stepRaises_;
   std::int32_t lastLubyRounds_ = 0;
 
-  // Phase-1 stack (push order == tuple order; sets sorted ascending).
+  // The run's restriction: per-group member lists and all instances the
+  // run may raise (ascending) — everything on a full run, the warm-start
+  // restriction otherwise. Slackness is measured over restricted_.
+  std::vector<std::vector<InstanceId>> members_;
+  std::vector<InstanceId> restricted_;
+
+  // Phase-1 stack (push order == tuple order; sets sorted ascending),
+  // flat: set s is stackMembers_[stackBegin_[s], stackBegin_[s + 1]).
   std::vector<std::int64_t> stackTuples_;
-  std::vector<std::vector<InstanceId>> stackSets_;
+  std::vector<std::size_t> stackBegin_;
+  std::vector<InstanceId> stackMembers_;
   std::vector<DualRaiseRecord> raiseLog_;  ///< under recordRaiseLog only
 
   // Run accounting.
@@ -935,7 +1156,33 @@ class ProtocolEngine {
   double profit_ = 0;
 };
 
-}  // namespace
+template <class U, class L>
+ProtocolEngine<U, L>::ProtocolEngine(const U& universe, const L& layering,
+                                     Transport& transport,
+                                     const DistributedOptions& options)
+    : impl_(std::make_unique<Impl>(universe, layering, transport, options)) {}
+
+template <class U, class L>
+ProtocolEngine<U, L>::~ProtocolEngine() = default;
+
+template <class U, class L>
+void ProtocolEngine<U, L>::addProcessor(DemandId d) {
+  impl_->addProcessor(d);
+}
+
+template <class U, class L>
+void ProtocolEngine<U, L>::removeProcessor(DemandId d) {
+  impl_->removeProcessor(d);
+}
+
+template <class U, class L>
+DistributedResult ProtocolEngine<U, L>::run(const DistributedOptions& options,
+                                            const WarmStart& warm) {
+  return impl_->run(options, warm);
+}
+
+template class ProtocolEngine<InstanceUniverse, Layering>;
+template class ProtocolEngine<DynamicUniverse, DynamicLayeringView>;
 
 FrameworkConfig centralizedReference(const DistributedOptions& options) {
   FrameworkConfig config;
@@ -963,21 +1210,8 @@ DistributedResult runDistributedWarmStart(const InstanceUniverse& universe,
                                           const DistributedOptions& options,
                                           const WarmStart& warm) {
   ProtocolEngine<InstanceUniverse, Layering> engine(universe, layering,
-                                                    transport, options, warm);
-  return engine.run();
-}
-
-DistributedResult runDistributedWarmStart(const DynamicUniverse& universe,
-                                          Transport& transport,
-                                          const DistributedOptions& options,
-                                          const WarmStart& warm) {
-  checkThat(!warm.activeInstances.empty(),
-            "dynamic warm start names its live active set", __FILE__,
-            __LINE__);
-  const DynamicLayeringView layering = universe.layeringView();
-  ProtocolEngine<DynamicUniverse, DynamicLayeringView> engine(
-      universe, layering, transport, options, warm);
-  return engine.run();
+                                                    transport, options);
+  return engine.run(options, warm);
 }
 
 PreparedRun prepareUnitTreeRun(const TreeProblem& problem) {

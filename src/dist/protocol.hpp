@@ -33,6 +33,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/line_problem.hpp"
@@ -115,16 +117,19 @@ struct DualRaiseRecord {
 /// Prior dual state + restricted active set for an incremental epoch
 /// re-solve (src/online/). The protocol raises only `activeInstances`
 /// (phase 1) and accepts only from the raise sets it pushed itself
-/// (phase 2); `priorLhs` warm-starts every dual-constraint LHS from the
-/// surviving duals of the previous solution, so an instance already
-/// lambda-satisfied by old raises is never touched again.
+/// (phase 2); `priorLhs` warm-starts every restricted instance's
+/// dual-constraint LHS from the surviving duals of the previous
+/// solution, so an instance already lambda-satisfied by old raises is
+/// never touched again. Both members are views: the caller's arrays must
+/// outlive the run, and nothing pool-sized is copied.
 struct WarmStart {
   /// Instances the run may raise, sorted ascending. Empty = every
   /// instance (the classic full run).
-  std::vector<InstanceId> activeInstances;
+  std::span<const InstanceId> activeInstances;
   /// Per-instance prior LHS, indexed by InstanceId over the whole
-  /// universe. Empty = all zeros (cold start).
-  std::vector<double> priorLhs;
+  /// universe; only the entries of `activeInstances` are read. Empty =
+  /// all zeros (cold start).
+  std::span<const double> priorLhs;
 };
 
 struct DistributedResult {
@@ -193,18 +198,54 @@ DistributedResult runDistributedWarmStart(const InstanceUniverse& universe,
                                           const WarmStart& warm);
 
 class DynamicUniverse;
+struct DynamicLayeringView;
 
-/// Warm-started restricted run over a DynamicUniverse: the incremental
-/// universe carries its own layering (DynamicLayeringView), so no
-/// pool-sized Layering is materialized. `warm.activeInstances` must be
-/// non-empty and name live instances only — a dynamic universe has no
-/// "every pool instance" enumeration to fall back to. Bit-identical to
-/// the static overload on the live restriction (the dynamic_universe
-/// equivalence gate).
-DistributedResult runDistributedWarmStart(const DynamicUniverse& universe,
-                                          Transport& transport,
-                                          const DistributedOptions& options,
-                                          const WarmStart& warm);
+/// The §5 protocol engine over one universe/layering pair and one
+/// transport, reusable across runs. Construction sizes every pool-dense
+/// array once (ground duals, LHS views, MIS state, fault flags) and
+/// builds the contexts of the processors whose demands are present;
+/// run() executes both phases and may be called again — each later run
+/// resets only what the previous one wrote, so its cost follows the
+/// region it touches, not the pool. A one-shot solve is one construction
+/// and one run; the online solver (src/online/incremental.hpp) keeps
+/// one engine for its whole life and reports arrivals and departures
+/// through addProcessor/removeProcessor.
+///
+/// The options given at construction fix the stage plan and the thread
+/// pool: every run must pass the same epsilon, rule, hmin and threads.
+/// Everything else (seed, schedule length, MIS budget, faults, raise
+/// log, observer, telemetry, ledger) is per run. The universe, layering
+/// and transport must outlive the engine; the transport is attached
+/// only for the duration of each run.
+template <class U, class L>
+class ProtocolEngine {
+ public:
+  ProtocolEngine(const U& universe, const L& layering, Transport& transport,
+                 const DistributedOptions& options);
+  ~ProtocolEngine();
+  ProtocolEngine(const ProtocolEngine&) = delete;
+  ProtocolEngine& operator=(const ProtocolEngine&) = delete;
+
+  /// Builds demand d's processor context; call after d's instances
+  /// joined the universe (DynamicUniverse::addDemand).
+  void addProcessor(DemandId d);
+  /// Drops demand d's processor context; call before its instances
+  /// leave the universe (DynamicUniverse::retireDemand).
+  void removeProcessor(DemandId d);
+
+  /// One protocol run over `warm`'s restriction. `engineClaims` and
+  /// `engineSteals` are the runner's traffic since the previous run (the
+  /// first run includes the constructor's context build).
+  DistributedResult run(const DistributedOptions& options,
+                        const WarmStart& warm);
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+extern template class ProtocolEngine<InstanceUniverse, Layering>;
+extern template class ProtocolEngine<DynamicUniverse, DynamicLayeringView>;
 
 /// Everything a runner needs before choosing a transport: the validated
 /// universe (conflicts built), the layering and the communication graph.

@@ -4,11 +4,18 @@
 // only ever *raises* these (monotonically from 0); the objective
 // val(alpha, beta) = sum alpha + sum beta upper-bounds lambda * OPT by weak
 // duality once every instance is lambda-satisfied.
+//
+// The arrays are pool-sized, but a run writes only the demands and edges
+// its raises touch. Both are recorded, so reset() and objective() cost
+// O(touched), not O(pool) — what lets one DualState serve every epoch of
+// the online solver (src/online/).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/universe.hpp"
+#include "util/touched_ids.hpp"
 
 namespace treesched {
 
@@ -20,7 +27,9 @@ class DualState {
   template <class U>
   explicit DualState(const U& universe)
       : alpha_(static_cast<std::size_t>(universe.numDemands()), 0.0),
-        beta_(static_cast<std::size_t>(universe.numGlobalEdges()), 0.0) {}
+        beta_(static_cast<std::size_t>(universe.numGlobalEdges()), 0.0),
+        touchedDemands_(alpha_.size()),
+        touchedEdges_(beta_.size()) {}
 
   double alpha(DemandId d) const { return alpha_[static_cast<std::size_t>(d)]; }
   double beta(GlobalEdgeId e) const {
@@ -28,20 +37,32 @@ class DualState {
   }
 
   void raiseAlpha(DemandId d, double by) {
+    touchedDemands_.mark(d);
     alpha_[static_cast<std::size_t>(d)] += by;
   }
   void raiseBeta(GlobalEdgeId e, double by) {
+    touchedEdges_.mark(e);
     beta_[static_cast<std::size_t>(e)] += by;
   }
 
-  /// Overwrites (used by the distributed simulator when adopting received
-  /// values; raises are idempotent there because values only grow).
-  void setBeta(GlobalEdgeId e, double value) {
-    beta_[static_cast<std::size_t>(e)] = value;
-  }
+  /// val(alpha, beta): every alpha in id order, then every beta. Entries
+  /// never raised are exactly +0.0 and adding +0.0 leaves the running
+  /// sum unchanged, so summing only the touched ids in ascending order
+  /// gives the dense sum bit for bit.
+  double objective();
 
-  /// val(alpha, beta) = sum of all dual variables.
-  double objective() const;
+  /// Zeroes every touched entry (all others are zero already), in
+  /// O(touched).
+  void reset();
+
+  /// Demands / edges raised (by any amount, either sign) since the last
+  /// reset, each once, in no particular order.
+  std::span<const DemandId> touchedDemands() const {
+    return touchedDemands_.ids();
+  }
+  std::span<const GlobalEdgeId> touchedEdges() const {
+    return touchedEdges_.ids();
+  }
 
   std::size_t numDemands() const { return alpha_.size(); }
   std::size_t numEdges() const { return beta_.size(); }
@@ -49,6 +70,8 @@ class DualState {
  private:
   std::vector<double> alpha_;
   std::vector<double> beta_;
+  TouchedIds touchedDemands_;
+  TouchedIds touchedEdges_;
 };
 
 }  // namespace treesched

@@ -9,13 +9,11 @@
 // restriction of the pool-wide update to the live id set.
 #pragma once
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "core/universe.hpp"
 #include "framework/raise_policy.hpp"
-#include "util/check.hpp"
 
 namespace treesched {
 
@@ -56,13 +54,11 @@ class BasicLhsTracker {
 
   double lhs(InstanceId i) const { return lhs_[static_cast<std::size_t>(i)]; }
 
-  /// Warm-starts the tracker from prior per-instance values (the online
-  /// incremental re-solver's surviving duals); `values` must cover every
-  /// instance of the universe.
-  void preload(std::span<const double> values) {
-    checkThat(values.size() == lhs_.size(), "preload covers every instance",
-              __FILE__, __LINE__);
-    std::copy(values.begin(), values.end(), lhs_.begin());
+  /// Overwrites one instance's value: the protocol engine warm-starts
+  /// its restricted instances from the online solver's surviving duals
+  /// and zeroes what an earlier run wrote, one instance at a time.
+  void set(InstanceId i, double value) {
+    lhs_[static_cast<std::size_t>(i)] = value;
   }
 
   void onAlphaRaise(DemandId d, double by) {

@@ -59,6 +59,7 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
                                      Transport& transport)
     : u_(universe),
       cfg_(config),
+      layering_(universe.layeringView()),
       bus_(transport),
       topo_(requireMutableTopology(transport)),
       networkMembers_(static_cast<std::size_t>(universe.numNetworks())),
@@ -89,6 +90,10 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
   ledgerOn_ = cfg_.ledger != nullptr && cfg_.ledger->enabled();
   if (ledgerOn_) {
     bus_.attachLedger(cfg_.ledger);
+    acceptedOfDemand_.assign(static_cast<std::size_t>(u_.numDemands()),
+                             kNoInstance);
+    firstLoaderOfEdge_.assign(dual_.numEdges(), kNoInstance);
+    ledgerEdgeLoad_.assign(dual_.numEdges(), 0.0);
   }
   checkThat(u_.numDemands() > 0, "online solver needs a demand pool",
             __FILE__, __LINE__);
@@ -118,6 +123,7 @@ void IncrementalSolver::activate(DemandId d) {
   checkThat(!u_.isLive(d), "arrival of an inactive demand", __FILE__,
             __LINE__);
   u_.addDemand(d);
+  if (engine_) engine_->addProcessor(d);
   // Warm-start the new instances' dual-constraint LHS from the
   // persistent duals: alpha(d) (zero unless a purge left residue) plus
   // the surviving beta along each instance's path. The static pool path
@@ -182,6 +188,7 @@ void IncrementalSolver::deactivate(DemandId d) {
   for (const InstanceId i : u_.instancesOfDemand(d)) {
     lhs_[static_cast<std::size_t>(i)] = 0.0;
   }
+  if (engine_) engine_->removeProcessor(d);
   u_.retireDemand(d);
 }
 
@@ -220,12 +227,16 @@ void IncrementalSolver::purgeRaisesOf(DemandId d) {
 }
 
 void IncrementalSolver::resetDualState() {
-  dual_ = DualState(u_);
-  std::fill(lhs_.begin(), lhs_.end(), 0.0);
-  raises_.clear();
-  for (auto& list : raisesOfDemand_) {
-    list.clear();
+  // Sparse: lhs_ is zero off the live set (retirement zeroes it), and a
+  // departed demand's raise list was emptied by its purge.
+  dual_.reset();
+  for (const DemandId d : u_.liveDemands()) {
+    for (const InstanceId i : u_.instancesOfDemand(d)) {
+      lhs_[static_cast<std::size_t>(i)] = 0.0;
+    }
+    raisesOfDemand_[static_cast<std::size_t>(d)].clear();
   }
+  raises_.clear();
   stack_.clear();
   deadRaises_ = 0;
 }
@@ -268,8 +279,9 @@ void IncrementalSolver::compactStack() {
   }
   raises_.resize(keptRaises);
   deadRaises_ = 0;
-  for (auto& list : raisesOfDemand_) {
-    for (std::int32_t& idx : list) {
+  // Only live demands own raises: a departure's purge empties its list.
+  for (const DemandId d : u_.liveDemands()) {
+    for (std::int32_t& idx : raisesOfDemand_[static_cast<std::size_t>(d)]) {
       idx = raiseRemap[static_cast<std::size_t>(idx)];
     }
   }
@@ -283,14 +295,13 @@ void IncrementalSolver::popPersistentStack() {
   // oracle's state (admitted instance per demand, first loader and load
   // per edge) names every rejection's blocker; events buffer until the
   // epoch's lambda is measured so the certificate threshold is final.
-  BasicFeasibilityOracle<DynamicUniverse> oracle(u_);
-  if (ledgerOn_) {
-    acceptedOfDemand_.assign(static_cast<std::size_t>(u_.numDemands()),
-                             kNoInstance);
-    firstLoaderOfEdge_.assign(dual_.numEdges(), kNoInstance);
-    ledgerEdgeLoad_.assign(dual_.numEdges(), 0.0);
-    rejectionBuffer_.clear();
-  }
+  //
+  // The oracle and the shadow persist across epochs: both are emptied
+  // at the end over the admitted instances' edges (all still live), so
+  // the re-pop costs O(stack), never O(pool).
+  if (!oracle_) oracle_.emplace(u_);
+  BasicFeasibilityOracle<DynamicUniverse>& oracle = *oracle_;
+  if (ledgerOn_) rejectionBuffer_.clear();
   for (std::size_t s = stack_.size(); s-- > 0;) {
     for (const InstanceId i : stack_[s]) {
       if (oracle.canAdd(i)) {
@@ -303,6 +314,16 @@ void IncrementalSolver::popPersistentStack() {
   }
   solution_ = oracle.solution();
   profit_ = oracle.profit();
+  oracle.clear();
+  if (!ledgerOn_) return;
+  for (const InstanceId i : solution_.instances) {
+    acceptedOfDemand_[static_cast<std::size_t>(u_.instance(i).demand)] =
+        kNoInstance;
+    for (const GlobalEdgeId e : u_.path(i)) {
+      firstLoaderOfEdge_[static_cast<std::size_t>(e)] = kNoInstance;
+      ledgerEdgeLoad_[static_cast<std::size_t>(e)] = 0.0;
+    }
+  }
 }
 
 void IncrementalSolver::ledgerShadowAdmit(InstanceId i) {
@@ -389,8 +410,7 @@ AdmissionSla IncrementalSolver::admissionSla() const {
 std::vector<InstanceId> IncrementalSolver::activeInstanceIds() const {
   std::vector<InstanceId> ids;
   ids.reserve(static_cast<std::size_t>(u_.numLiveInstances()));
-  for (DemandId d = 0; d < u_.numDemands(); ++d) {
-    if (!u_.isLive(d)) continue;
+  for (const DemandId d : u_.liveDemands()) {
     const auto span = u_.instancesOfDemand(d);
     ids.insert(ids.end(), span.begin(), span.end());
   }
@@ -584,11 +604,19 @@ EpochOutcome IncrementalSolver::applyEpoch(
       warm.priorLhs = lhs_;
     }
 
+    if (!engine_) {
+      // First protocol run: the engine's pool-sized arrays and thread
+      // pool are allocated here, once, with the contexts of every demand
+      // live now; later arrivals add theirs in activate().
+      engine_ = std::make_unique<
+          ProtocolEngine<DynamicUniverse, DynamicLayeringView>>(
+          u_, layering_, bus_, options);
+    }
     const std::int64_t roundsBefore = bus_.stats().rounds;
     const std::int64_t messagesBefore = bus_.stats().messages;
-    const DistributedResult run =
-        runDistributedWarmStart(u_, bus_, options, warm);
+    const DistributedResult run = engine_->run(options, warm);
     outcome.raises = run.raises;
+    outcome.localViewsConsistent = run.localViewsConsistent;
     outcome.rounds = bus_.stats().rounds - roundsBefore;
     outcome.messages = bus_.stats().messages - messagesBefore;
     outcome.engineClaims = run.engineClaims;
@@ -642,11 +670,14 @@ EpochOutcome IncrementalSolver::applyEpoch(
 
   // Slackness over the whole active set (warm epochs inherit the old
   // epochs' satisfaction; the dual pair scaled by lambda is feasible for
-  // the active universe, so objective / lambda upper-bounds OPT).
+  // the active universe, so objective / lambda upper-bounds OPT). The
+  // scan walks the live demands in whatever order the universe keeps
+  // them — a minimum does not depend on it — and the objective sums only
+  // the duals ever raised.
+  const std::int64_t certifyBegin = trace ? tracer->now() : 0;
   double lambda = std::numeric_limits<double>::infinity();
   bool any = false;
-  for (DemandId d = 0; d < u_.numDemands(); ++d) {
-    if (!u_.isLive(d)) continue;
+  for (const DemandId d : u_.liveDemands()) {
     for (const InstanceId i : u_.instancesOfDemand(d)) {
       any = true;
       lambda = std::min(lambda, lhs_[static_cast<std::size_t>(i)] /
@@ -655,6 +686,11 @@ EpochOutcome IncrementalSolver::applyEpoch(
   }
   lambdaMeasured_ = any ? lambda : 1.0;
   dualObjective_ = dual_.objective();
+  if (trace) {
+    tracer->span("certify", "online", 0, certifyBegin,
+                 {{"epoch", outcome.epoch},
+                  {"active_instances", outcome.activeInstances}});
+  }
   // Certificates finalize against THIS epoch's measured lambda: the
   // blocker is an admitted (hence lambda-satisfied) instance, so its
   // LHS clears lambda * profit — the dual explanation replay checks.
@@ -702,8 +738,7 @@ double IncrementalSolver::maxLhsDeviationFromReplay() const {
     }
   }
   double deviation = 0;
-  for (DemandId d = 0; d < u_.numDemands(); ++d) {
-    if (!u_.isLive(d)) continue;
+  for (const DemandId d : u_.liveDemands()) {
     for (const InstanceId i : u_.instancesOfDemand(d)) {
       deviation = std::max(
           deviation, std::abs(replay[static_cast<std::size_t>(i)] -

@@ -40,9 +40,13 @@
 //    their LHS move.
 //  * The distributed protocol then re-runs ONLY over the affected
 //    region (active demands whose accessible networks intersect the
-//    changed networks), warm-started from the surviving LHS
-//    (dist/protocol.hpp runDistributedWarmStart over the dynamic
-//    universe — no pool-sized layering is materialized). Unaffected
+//    changed networks), warm-started from a view of the surviving LHS.
+//    The solver owns ONE protocol engine (dist/protocol.hpp
+//    ProtocolEngine over the dynamic universe) for its whole life: its
+//    pool-sized arrays and thread pool are allocated at the first run,
+//    processor contexts are built on arrival and dropped on departure,
+//    and each run resets only what the previous run touched — so an
+//    epoch costs O(affected region), not O(pool). Unaffected
 //    instances keep their lambda-satisfaction from earlier epochs, so
 //    the slackness invariant holds over the whole active set after
 //    every epoch.
@@ -68,6 +72,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -151,6 +157,11 @@ struct EpochOutcome {
   double dualUpperBound = 0;
   double lambdaMeasured = 0;
   std::int64_t raises = 0;
+  /// The protocol run's audit verdict: every surviving processor's local
+  /// dual view equals the ground truth of the run's raises. True when
+  /// the epoch ran no protocol (zero churn, or nothing affected). It is
+  /// the guard against stale state in the solver's persistent engine.
+  bool localViewsConsistent = true;
   std::int64_t rounds = 0;    ///< protocol rounds spent by this epoch
   std::int64_t messages = 0;  ///< messages delivered during this epoch
   /// Active demands first admitted by this epoch (their SLA clocks
@@ -283,6 +294,7 @@ class IncrementalSolver {
 
   DynamicUniverse& u_;  ///< live universe, mutated by the epoch batches
   OnlineSolverConfig cfg_;
+  DynamicLayeringView layering_;  ///< the universe's, for the engine
 
   Transport& bus_;         ///< the live transport, persistent across epochs
   MutableTopology& topo_;  ///< its mutation facet (same object)
@@ -293,6 +305,13 @@ class IncrementalSolver {
   /// Shared-network count per unordered demand pair with >= 1 common
   /// active network; an edge exists while the count is positive.
   std::unordered_map<std::uint64_t, std::int32_t> sharedNetworks_;
+
+  /// The protocol engine every epoch runs on, and the admission oracle
+  /// of the persistent-stack re-pop. Both hold pool-sized arrays, so
+  /// both are built at the first epoch that needs them, never again.
+  std::unique_ptr<ProtocolEngine<DynamicUniverse, DynamicLayeringView>>
+      engine_;
+  std::optional<BasicFeasibilityOracle<DynamicUniverse>> oracle_;
 
   // Persistent primal-dual state: duals/LHS of the surviving raises, the
   // surviving raise log, and the phase-1 stack across epochs. lhs_ is

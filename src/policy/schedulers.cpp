@@ -116,7 +116,7 @@ class TwoPhaseScheduler : public SchedulerBase {
                         std::span<const InstanceId> active,
                         ScheduleOutcome& outcome) const {
     WarmStart warm;
-    warm.activeInstances.assign(active.begin(), active.end());
+    warm.activeInstances = active;
 
     DistributedResult result;
     if (context.transport != nullptr) {

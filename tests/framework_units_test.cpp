@@ -43,6 +43,47 @@ TEST(DualState, StartsAtZeroAndAccumulates) {
   EXPECT_DOUBLE_EQ(dual.objective(), 2.25);
 }
 
+TEST(DualState, SparseObjectiveAndResetMatchTheDenseArrays) {
+  // objective() sums only the touched ids; it must equal the dense
+  // alpha-then-beta sum bit for bit, through raises and signed purges,
+  // and reset() must leave every entry at exactly zero.
+  // Sized so the edges stay sparse (the sorted path) while the demands
+  // fill up (the dense path).
+  struct PoolSizes {
+    std::int32_t numDemands() const { return 40; }
+    std::int32_t numGlobalEdges() const { return 4000; }
+  };
+  const PoolSizes u;
+  DualState dual(u);
+  const auto dense = [&] {
+    double total = 0;
+    for (DemandId d = 0; d < u.numDemands(); ++d) total += dual.alpha(d);
+    for (GlobalEdgeId e = 0; e < u.numGlobalEdges(); ++e) {
+      total += dual.beta(e);
+    }
+    return total;
+  };
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int step = 0; step < 200; ++step) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const double by = static_cast<double>(x % 1000) / 7.0;
+    const double sign = step % 5 == 4 ? -1.0 : 1.0;
+    if (x % 3 == 0) {
+      dual.raiseAlpha(static_cast<DemandId>(x % 40), sign * by);
+    } else {
+      dual.raiseBeta(static_cast<GlobalEdgeId>(x % 4000), sign * by);
+    }
+    ASSERT_EQ(dual.objective(), dense()) << "step " << step;
+  }
+  dual.reset();
+  EXPECT_EQ(dual.objective(), 0.0);
+  EXPECT_EQ(dense(), 0.0);
+  EXPECT_TRUE(dual.touchedDemands().empty());
+  EXPECT_TRUE(dual.touchedEdges().empty());
+}
+
 TEST(RaisePolicy, UnitLhsSumsPathBetas) {
   const InstanceUniverse u = tinyUniverse();
   DualState dual(u);

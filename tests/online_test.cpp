@@ -11,8 +11,11 @@
 //  * epochs whose affected region covered the whole active set are
 //    bit-identical to the from-scratch solve — solution, profit, dual
 //    objective and measured lambda;
-// plus unit coverage of the arrival processes, the epoch batcher, the
-// incremental communication graph and the live-transport mutations.
+//  * the persistent protocol engine's local-view audit passes;
+// plus the pool-padding invariance gate (epoch outcomes do not depend on
+// demands that never arrive), and unit coverage of the arrival
+// processes, the epoch batcher, the incremental communication graph and
+// the live-transport mutations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,6 +123,7 @@ void verifyChurnRun(DynamicUniverse& dynamic, const InstanceUniverse& universe,
         activeInstancesAfter(universe, mask);
     ASSERT_EQ(epoch.activeInstances,
               static_cast<std::int64_t>(active.size()));
+    EXPECT_TRUE(epoch.localViewsConsistent) << "epoch " << k;
 
     const ValidationReport report =
         validateSolution(universe, epoch.solution);
@@ -297,6 +301,147 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   const DistributedResult classic = runDistributedUnitTree(problem, dopt);
   EXPECT_EQ(full.solution.instances, classic.solution.instances);
   EXPECT_EQ(full.profit, classic.profit);
+}
+
+// ---- Pool-padding invariance ----
+
+DynamicUniverse makeDynamicUniverse(const TreeProblem& pool) {
+  return makeDynamicTreeUniverse(pool);
+}
+DynamicUniverse makeDynamicUniverse(const LineProblem& pool) {
+  return makeDynamicLineUniverse(pool);
+}
+
+/// The pool plus `copies` duplicates of its demands (cycling from demand
+/// 0), appended at the end so no original id moves. A copy repeats an
+/// existing demand's shape and access, so the pool constants a schedule
+/// depends on — profit range, length range, layer count and max
+/// critical size — are unchanged.
+template <class Problem>
+Problem padPool(const Problem& pool, std::int32_t copies) {
+  Problem padded = pool;
+  for (std::int32_t c = 0; c < copies; ++c) {
+    const auto source = static_cast<std::size_t>(c % pool.numDemands());
+    auto demand = pool.demands[source];
+    demand.id = padded.numDemands();
+    padded.demands.push_back(demand);
+    padded.access.push_back(pool.access[source]);
+  }
+  return padded;
+}
+
+/// Every field of an epoch outcome except the engine's performance
+/// tallies (claims, steals) and the wire-placement accounting.
+void expectSameEpoch(const EpochOutcome& a, const EpochOutcome& b,
+                     std::size_t k) {
+  EXPECT_EQ(a.epoch, b.epoch) << "epoch " << k;
+  EXPECT_EQ(a.protocolSeed, b.protocolSeed) << "epoch " << k;
+  EXPECT_EQ(a.arrivals, b.arrivals) << "epoch " << k;
+  EXPECT_EQ(a.departures, b.departures) << "epoch " << k;
+  EXPECT_EQ(a.activeDemands, b.activeDemands) << "epoch " << k;
+  EXPECT_EQ(a.activeInstances, b.activeInstances) << "epoch " << k;
+  EXPECT_EQ(a.affectedDemands, b.affectedDemands) << "epoch " << k;
+  EXPECT_EQ(a.affectedInstances, b.affectedInstances) << "epoch " << k;
+  EXPECT_EQ(a.resolveFraction, b.resolveFraction) << "epoch " << k;
+  EXPECT_EQ(a.fullResolve, b.fullResolve) << "epoch " << k;
+  EXPECT_EQ(a.solution.instances, b.solution.instances) << "epoch " << k;
+  EXPECT_EQ(a.profit, b.profit) << "epoch " << k;
+  EXPECT_EQ(a.dualObjective, b.dualObjective) << "epoch " << k;
+  EXPECT_EQ(a.dualUpperBound, b.dualUpperBound) << "epoch " << k;
+  EXPECT_EQ(a.lambdaMeasured, b.lambdaMeasured) << "epoch " << k;
+  EXPECT_EQ(a.raises, b.raises) << "epoch " << k;
+  EXPECT_EQ(a.rounds, b.rounds) << "epoch " << k;
+  EXPECT_EQ(a.messages, b.messages) << "epoch " << k;
+  EXPECT_EQ(a.newlyAdmittedDemands, b.newlyAdmittedDemands) << "epoch " << k;
+  EXPECT_TRUE(a.localViewsConsistent) << "epoch " << k;
+  EXPECT_TRUE(b.localViewsConsistent) << "epoch " << k;
+}
+
+/// Runs `batches` through one solver over `pool` and returns the epochs.
+template <class Problem>
+std::vector<EpochOutcome> runBatches(const Problem& pool,
+                                     const std::vector<EpochBatch>& batches,
+                                     const OnlineSolverConfig& config) {
+  DynamicUniverse universe = makeDynamicUniverse(pool);
+  SimNetwork bus(std::vector<std::vector<std::int32_t>>(
+      static_cast<std::size_t>(pool.numDemands())));
+  IncrementalSolver solver(universe, config, bus);
+  std::vector<EpochOutcome> epochs;
+  for (const EpochBatch& batch : batches) {
+    epochs.push_back(solver.applyEpoch(batch.arrivals, batch.departures));
+    EXPECT_LT(solver.maxLhsDeviationFromReplay(), 1e-7);
+  }
+  return epochs;
+}
+
+/// The padding gate: the same batches over the pool and over the pool
+/// padded with never-arriving copies give identical epochs.
+template <class Problem>
+void expectPaddingInvariant(const Problem& pool,
+                            const std::vector<EpochBatch>& batches,
+                            const OnlineSolverConfig& config) {
+  const Problem padded = padPool(pool, 3 * pool.numDemands());
+  {
+    const DynamicUniverse a = makeDynamicUniverse(pool);
+    const DynamicUniverse b = makeDynamicUniverse(padded);
+    ASSERT_EQ(a.maxCriticalSize(), b.maxCriticalSize());
+    ASSERT_EQ(a.numGroups(), b.numGroups());
+    ASSERT_EQ(a.profitMax(), b.profitMax());
+    ASSERT_EQ(a.profitMin(), b.profitMin());
+  }
+  const std::vector<EpochOutcome> plain = runBatches(pool, batches, config);
+  const std::vector<EpochOutcome> wide = runBatches(padded, batches, config);
+  ASSERT_EQ(plain.size(), wide.size());
+  for (std::size_t k = 0; k < plain.size(); ++k) {
+    expectSameEpoch(plain[k], wide[k], k);
+  }
+}
+
+OnlineSolverConfig paddingSolver(std::int32_t threads) {
+  OnlineSolverConfig config = sweepEngine(3).solver;
+  config.threads = threads;
+  return config;
+}
+
+TEST(PoolPadding, TreeEpochsIgnoreNeverArrivingDemands) {
+  const ChurnTreeScenario scenario = makeFlashCrowdTree50k(5, kPoolDemands);
+  const std::vector<EpochBatch> batches = batchTrace(
+      generateChurnTrace(sweepArrivals(ArrivalModel::FlashCrowd, 5),
+                         scenario.pool.numDemands()),
+      8.0);
+  expectPaddingInvariant(scenario.pool, batches, paddingSolver(2));
+}
+
+TEST(PoolPadding, LineEpochsIgnoreNeverArrivingDemands) {
+  const ChurnLineScenario scenario =
+      makeDiurnalMetroLine100k(6, kPoolDemands);
+  const std::vector<EpochBatch> batches = batchTrace(
+      generateChurnTrace(sweepArrivals(ArrivalModel::Poisson, 6),
+                         scenario.pool.numDemands()),
+      8.0);
+  expectPaddingInvariant(scenario.pool, batches, paddingSolver(1));
+}
+
+TEST(PoolPadding, DepartureAndReArrivalRebuildTheContext) {
+  // A demand that departs and re-arrives in the next epoch has its
+  // processor context cleared and rebuilt; the re-arrival epoch must
+  // still audit clean and match the padded pool bit for bit.
+  const ChurnTreeScenario scenario = makeFlashCrowdTree50k(9, kPoolDemands);
+  std::vector<DemandId> firstWave;
+  for (DemandId d = 0; d < kPoolDemands; d += 3) firstWave.push_back(d);
+  const DemandId bouncer = firstWave[firstWave.size() / 2];
+  const DemandId neighbor = firstWave[firstWave.size() / 2 + 1];
+  const std::vector<EpochBatch> batches = {
+      {firstWave, {}},
+      {{1, 4}, {bouncer}},
+      {{bouncer}, {1}},
+      {{}, {neighbor, bouncer}},
+      {{bouncer, neighbor}, {}},
+      {{}, {}},
+  };
+  for (const std::int32_t threads : {1, 2}) {
+    expectPaddingInvariant(scenario.pool, batches, paddingSolver(threads));
+  }
 }
 
 // ---- Incremental communication graph + live transport ----

@@ -101,6 +101,9 @@ void expectRunsIdentical(const ChurnRunResult& reference,
     EXPECT_EQ(a.fullResolve, b.fullResolve) << label << " epoch " << k;
     EXPECT_EQ(a.newlyAdmittedDemands, b.newlyAdmittedDemands)
         << label << " epoch " << k;
+    // The audit of the persistent engine's local views, on both runs.
+    EXPECT_TRUE(a.localViewsConsistent) << label << " epoch " << k;
+    EXPECT_TRUE(b.localViewsConsistent) << label << " epoch " << k;
   }
   EXPECT_EQ(reference.finalSolution.instances, run.finalSolution.instances)
       << label;

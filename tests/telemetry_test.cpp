@@ -3,7 +3,8 @@
 // the NullSink path adds zero hot-loop heap allocations, histogram
 // percentiles agree with a sorted-sample oracle, the registry's
 // counters cross-check against the run-level result fields, and a
-// registry snapshot holds no wall clock (identical runs, identical JSON).
+// registry snapshot holds no wall clock (identical runs, identical JSON),
+// and the online epoch's set-up and certify spans nest in their epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -214,6 +215,79 @@ TEST(Telemetry, EngineClaimsCounterMatchesRunResult) {
   }
   EXPECT_GT(epochClaims, 0);
   EXPECT_EQ(churnMetrics.counter("engine.claims").value(), epochClaims);
+}
+
+/// Keeps every trace event in memory.
+class CaptureSink final : public TraceSink {
+ public:
+  void event(const TraceEvent& e) override { events.push_back(e); }
+  std::vector<TraceEvent> events;
+};
+
+TEST(Telemetry, EngineSetupAndCertifySpansNestInOnlineEpoch) {
+  // The persistent engine's per-run reset (engine_setup) and the
+  // solver's lambda scan + dual objective (certify) are attributed
+  // inside their epoch, and tracing them changes no bit.
+  const ChurnTreeScenario scenario = makeHotspotTree50k(41, 72);
+  ArrivalConfig arrivals = scenario.arrivals;
+  arrivals.horizon = 48.0;
+  const ChurnTrace trace =
+      generateChurnTrace(arrivals, scenario.pool.access);
+  ChurnEngineConfig config;
+  config.epochLength = 8.0;
+  config.solver.seed = 42;
+  DynamicUniverse plainUniverse = makeDynamicTreeUniverse(scenario.pool);
+  const ChurnRunResult plain =
+      runChurnOverTrace(plainUniverse, trace, config);
+
+  CaptureSink sink;
+  Tracer tracer(&sink);
+  MetricsRegistry metrics;
+  config.solver.tracer = &tracer;
+  config.solver.metrics = &metrics;
+  DynamicUniverse tracedUniverse = makeDynamicTreeUniverse(scenario.pool);
+  const ChurnRunResult traced =
+      runChurnOverTrace(tracedUniverse, trace, config);
+
+  ASSERT_EQ(plain.epochs.size(), traced.epochs.size());
+  for (std::size_t k = 0; k < plain.epochs.size(); ++k) {
+    const EpochOutcome& a = plain.epochs[k];
+    const EpochOutcome& b = traced.epochs[k];
+    EXPECT_EQ(a.solution.instances, b.solution.instances) << "epoch " << k;
+    EXPECT_EQ(a.profit, b.profit) << "epoch " << k;
+    EXPECT_EQ(a.dualObjective, b.dualObjective) << "epoch " << k;
+    EXPECT_EQ(a.lambdaMeasured, b.lambdaMeasured) << "epoch " << k;
+    EXPECT_EQ(a.raises, b.raises) << "epoch " << k;
+    EXPECT_EQ(a.rounds, b.rounds) << "epoch " << k;
+    EXPECT_EQ(a.messages, b.messages) << "epoch " << k;
+    EXPECT_EQ(a.localViewsConsistent, b.localViewsConsistent)
+        << "epoch " << k;
+  }
+
+  std::vector<const TraceEvent*> epochs;
+  for (const TraceEvent& e : sink.events) {
+    if (std::string(e.name) == "online_epoch" && e.tid == 0) {
+      epochs.push_back(&e);
+    }
+  }
+  ASSERT_EQ(epochs.size(), traced.epochs.size());
+  std::int32_t setups = 0;
+  std::int32_t certifies = 0;
+  for (const TraceEvent& e : sink.events) {
+    const std::string name = e.name;
+    if (name != "engine_setup" && name != "certify") continue;
+    (name == "certify" ? certifies : setups) += 1;
+    EXPECT_EQ(e.tid, 0) << name;
+    const bool nested = std::any_of(
+        epochs.begin(), epochs.end(), [&](const TraceEvent* epoch) {
+          return epoch->tsMicros <= e.tsMicros &&
+                 e.tsMicros + e.durMicros <=
+                     epoch->tsMicros + epoch->durMicros;
+        });
+    EXPECT_TRUE(nested) << name << " at " << e.tsMicros;
+  }
+  EXPECT_GT(setups, 0);
+  EXPECT_GT(certifies, 0);
 }
 
 TEST(Telemetry, RegistrySnapshotIsDeterministic) {

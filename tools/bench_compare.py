@@ -68,6 +68,11 @@ METRICS = {
     # column honest as pool sizes grow.
     "universe_build_ms": -1,
     "mean_extend_us_per_arrival": -1,
+    # Fixed-trace pool sweep (BENCH_online.json, pattern
+    # fixed_trace_sweep): per-epoch time and the protocol engine's
+    # per-run reset, per pool size.
+    "ms_per_epoch": -1,
+    "epoch_setup_ms": -1,
 }
 
 
