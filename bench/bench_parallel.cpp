@@ -146,9 +146,8 @@ void runPreset(const std::string& preset, PreparedRun prepared,
   for (std::size_t i = 0; i < threadCounts.size(); ++i) {
     const std::int32_t threads = threadCounts[i];
     // The transport is rebuilt per run (fresh stats, fresh plane); the
-    // adjacency copy happens outside the measured window.
-    auto adjacency = prepared.adjacency;
-    SimNetwork bus(std::move(adjacency));
+    // graph copy happens outside the measured window.
+    SimNetwork bus(prepared.graph);
     DistributedOptions options = baseOptions;
     options.threads = threads;
     // Telemetry is strictly opt-in here: the default run must keep its

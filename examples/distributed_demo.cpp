@@ -154,7 +154,7 @@ int runPreset(const std::string& preset, std::uint64_t seed,
   dopt.tracer = telemetry.get();
   dopt.metrics = &metrics;
 
-  SimNetwork bus(std::move(prepared.adjacency));
+  SimNetwork bus(std::move(prepared.graph));
   const auto begin = std::chrono::steady_clock::now();
   const DistributedResult result = runDistributedOverTransport(
       prepared.universe, prepared.layering, bus, dopt);
@@ -258,11 +258,11 @@ int main(int argc, char** argv) {
   const TreeProblem problem = makeTreeScenario(cfg);
 
   // Communication graph: processors are adjacent iff they share a network.
-  const auto adjacency = communicationGraph(problem.access,
-                                            problem.numNetworks());
-  std::size_t edges = 0;
-  for (const auto& nbrs : adjacency) edges += nbrs.size();
-  std::cout << "processors: " << adjacency.size()
+  const CommunicationGraph graph =
+      communicationGraph(problem.access, problem.numNetworks());
+  std::int64_t edges = 0;
+  for (DemandId d = 0; d < graph.numDemands(); ++d) edges += graph.degree(d);
+  std::cout << "processors: " << graph.numDemands()
             << ", communication edges: " << edges / 2 << "\n\n";
 
   // Print the first few active steps via the observer hooks (the

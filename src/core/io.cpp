@@ -27,6 +27,16 @@ T readValue(std::istream& is, const char* what) {
   return value;
 }
 
+/// Reads a count and checks it is at least `min`. Counts come from the
+/// file, so no allocation trusts one: containers grow as the entries it
+/// announces actually parse, and a huge count ends at end of input.
+std::int32_t readCount(std::istream& is, const char* what, std::int32_t min) {
+  const auto count = readValue<std::int32_t>(is, what);
+  checkThat(count >= min, std::string(what) + " in range", __FILE__,
+            __LINE__);
+  return count;
+}
+
 }  // namespace
 
 void writeTreeProblem(std::ostream& os, const TreeProblem& problem) {
@@ -60,13 +70,12 @@ TreeProblem readTreeProblem(std::istream& is) {
   expectToken(is, "v1");
   TreeProblem problem;
   expectToken(is, "vertices");
-  problem.numVertices = readValue<std::int32_t>(is, "vertex count");
+  problem.numVertices = readCount(is, "vertex count", 2);
   expectToken(is, "networks");
-  const auto r = readValue<std::int32_t>(is, "network count");
+  const auto r = readCount(is, "network count", 1);
   for (TreeId t = 0; t < r; ++t) {
     expectToken(is, "network");
     std::vector<std::pair<VertexId, VertexId>> edges;
-    edges.reserve(static_cast<std::size_t>(problem.numVertices - 1));
     for (std::int32_t e = 0; e < problem.numVertices - 1; ++e) {
       const auto u = readValue<VertexId>(is, "edge endpoint");
       const auto v = readValue<VertexId>(is, "edge endpoint");
@@ -75,7 +84,7 @@ TreeProblem readTreeProblem(std::istream& is) {
     problem.networks.emplace_back(t, problem.numVertices, std::move(edges));
   }
   expectToken(is, "demands");
-  const auto m = readValue<std::int32_t>(is, "demand count");
+  const auto m = readCount(is, "demand count", 0);
   for (DemandId d = 0; d < m; ++d) {
     Demand dem;
     dem.id = d;
@@ -83,9 +92,8 @@ TreeProblem readTreeProblem(std::istream& is) {
     dem.v = readValue<VertexId>(is, "demand endpoint");
     dem.profit = readValue<double>(is, "demand profit");
     dem.height = readValue<double>(is, "demand height");
-    const auto k = readValue<std::int32_t>(is, "access count");
+    const auto k = readCount(is, "access count", 0);
     std::vector<TreeId> acc;
-    acc.reserve(static_cast<std::size_t>(k));
     for (std::int32_t i = 0; i < k; ++i) {
       acc.push_back(readValue<TreeId>(is, "access entry"));
     }
@@ -120,11 +128,11 @@ LineProblem readLineProblem(std::istream& is) {
   expectToken(is, "v1");
   LineProblem problem;
   expectToken(is, "slots");
-  problem.numSlots = readValue<std::int32_t>(is, "slot count");
+  problem.numSlots = readCount(is, "slot count", 1);
   expectToken(is, "resources");
-  problem.numResources = readValue<std::int32_t>(is, "resource count");
+  problem.numResources = readCount(is, "resource count", 1);
   expectToken(is, "demands");
-  const auto m = readValue<std::int32_t>(is, "demand count");
+  const auto m = readCount(is, "demand count", 0);
   for (DemandId d = 0; d < m; ++d) {
     WindowDemand dem;
     dem.id = d;
@@ -133,9 +141,8 @@ LineProblem readLineProblem(std::istream& is) {
     dem.processing = readValue<std::int32_t>(is, "processing");
     dem.profit = readValue<double>(is, "profit");
     dem.height = readValue<double>(is, "height");
-    const auto k = readValue<std::int32_t>(is, "access count");
+    const auto k = readCount(is, "access count", 0);
     std::vector<ResourceId> acc;
-    acc.reserve(static_cast<std::size_t>(k));
     for (std::int32_t i = 0; i < k; ++i) {
       acc.push_back(readValue<ResourceId>(is, "access entry"));
     }

@@ -1233,7 +1233,7 @@ PreparedRun prepareUnitLineRun(const LineProblem& problem) {
 DistributedResult runDistributedUnitTree(const TreeProblem& problem,
                                          const DistributedOptions& options) {
   PreparedRun run = prepareUnitTreeRun(problem);
-  SimNetwork bus(std::move(run.adjacency));
+  SimNetwork bus(std::move(run.graph));
   return runDistributedOverTransport(run.universe, run.layering, bus,
                                      options);
 }
@@ -1241,7 +1241,7 @@ DistributedResult runDistributedUnitTree(const TreeProblem& problem,
 DistributedResult runDistributedUnitLine(const LineProblem& problem,
                                          const DistributedOptions& options) {
   PreparedRun run = prepareUnitLineRun(problem);
-  SimNetwork bus(std::move(run.adjacency));
+  SimNetwork bus(std::move(run.graph));
   return runDistributedOverTransport(run.universe, run.layering, bus,
                                      options);
 }

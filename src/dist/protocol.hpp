@@ -254,7 +254,7 @@ extern template class ProtocolEngine<DynamicUniverse, DynamicLayeringView>;
 struct PreparedRun {
   InstanceUniverse universe;
   Layering layering;
-  std::vector<std::vector<std::int32_t>> adjacency;
+  CommunicationGraph graph;
 };
 
 PreparedRun prepareUnitTreeRun(const TreeProblem& problem);

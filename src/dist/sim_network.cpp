@@ -8,65 +8,25 @@
 
 namespace treesched {
 
-SimNetwork::SimNetwork(std::vector<std::vector<std::int32_t>> adjacency)
-    : adjacency_(std::move(adjacency)),
-      plane_(std::max<std::int32_t>(
-          1, static_cast<std::int32_t>(adjacency_.size()))) {
-  validateCommunicationAdjacency(adjacency_);
-}
-
-std::span<const std::int32_t> SimNetwork::neighbors(std::int32_t p) const {
-  checkIndex(p, numProcessors(), "SimNetwork::neighbors");
-  return adjacency_[static_cast<std::size_t>(p)];
-}
+SimNetwork::SimNetwork(CommunicationGraph graph)
+    : graph_(std::move(graph)),
+      plane_(std::max<std::int32_t>(1, graph_.numDemands())) {}
 
 void SimNetwork::broadcast(const Message& message) {
   checkIndex(message.from, numProcessors(), "SimNetwork::broadcast");
-  const auto from = static_cast<std::size_t>(message.from);
-  plane_.stageFanout(message, adjacency_[from]);
+  plane_.stageFanout(message, graph_);
 }
 
-void SimNetwork::connectDemand(std::int32_t p,
-                               std::span<const std::int32_t> neighbors) {
-  checkIndex(p, numProcessors(), "SimNetwork::connectDemand");
+void SimNetwork::connectDemand(std::int32_t p) {
   checkThat(!plane_.hasStaged(), "topology mutation only between rounds",
             __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(p)];
-  checkThat(own.empty(), "connectDemand target must be isolated", __FILE__,
-            __LINE__);
-  // Validate the whole list before touching any adjacency (strong
-  // guarantee: a rejected call leaves the live graph unchanged).
-  for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
-    const std::int32_t n = neighbors[idx];
-    checkIndex(n, numProcessors(), "connectDemand neighbour");
-    checkThat(n != p, "no self links", __FILE__, __LINE__);
-    checkThat(idx == 0 || neighbors[idx - 1] < n,
-              "connectDemand neighbours sorted, duplicate-free", __FILE__,
-              __LINE__);
-  }
-  own.assign(neighbors.begin(), neighbors.end());
-  for (const std::int32_t n : neighbors) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), p);
-    checkThat(pos == theirs.end() || *pos != p,
-              "connectDemand edge already present", __FILE__, __LINE__);
-    theirs.insert(pos, p);
-  }
+  graph_.connect(p);
 }
 
 void SimNetwork::disconnectDemand(std::int32_t p) {
-  checkIndex(p, numProcessors(), "SimNetwork::disconnectDemand");
   checkThat(!plane_.hasStaged(), "topology mutation only between rounds",
             __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(p)];
-  for (const std::int32_t n : own) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), p);
-    checkThat(pos != theirs.end() && *pos == p,
-              "disconnectDemand edge symmetric", __FILE__, __LINE__);
-    theirs.erase(pos);
-  }
-  own.clear();
+  graph_.disconnect(p);
 }
 
 void SimNetwork::endRound() {
@@ -118,36 +78,6 @@ std::span<const Message> SimNetwork::inbox(std::int32_t p) const {
 void SimNetwork::appendActiveInboxes(std::vector<std::int32_t>& out) const {
   const auto active = plane_.activeDests();
   out.insert(out.end(), active.begin(), active.end());
-}
-
-std::vector<std::vector<std::int32_t>> communicationGraph(
-    const std::vector<std::vector<std::int32_t>>& access,
-    std::int32_t numNetworks) {
-  const auto numProc = static_cast<std::int32_t>(access.size());
-  std::vector<std::vector<std::int32_t>> byNetwork(
-      static_cast<std::size_t>(numNetworks));
-  for (std::int32_t d = 0; d < numProc; ++d) {
-    for (const std::int32_t t : access[static_cast<std::size_t>(d)]) {
-      checkIndex(t, numNetworks, "communicationGraph access entry");
-      byNetwork[static_cast<std::size_t>(t)].push_back(d);
-    }
-  }
-  std::vector<std::vector<std::int32_t>> adjacency(
-      static_cast<std::size_t>(numProc));
-  for (const auto& sharers : byNetwork) {
-    for (const std::int32_t a : sharers) {
-      for (const std::int32_t b : sharers) {
-        if (a != b) {
-          adjacency[static_cast<std::size_t>(a)].push_back(b);
-        }
-      }
-    }
-  }
-  for (auto& nbrs : adjacency) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  }
-  return adjacency;
 }
 
 }  // namespace treesched

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "dist/message.hpp"
 #include "engine/message_plane.hpp"
@@ -29,26 +28,21 @@ namespace treesched {
 
 class Counter;
 
-/// Deterministic message bus over an undirected communication graph.
-///
-/// Construction validates the adjacency (symmetric, loop-free, in-range,
-/// duplicate-free) and throws CheckError otherwise. The graph is live:
+/// Deterministic message bus over the communication graph (network
+/// incidence, net/communication_graph.hpp). The graph is live:
 /// SimNetwork is the reference implementation of the MutableTopology
 /// capability (net/transport.hpp) alongside the Transport contract.
 class SimNetwork : public Transport, public MutableTopology {
  public:
-  explicit SimNetwork(std::vector<std::vector<std::int32_t>> adjacency);
+  explicit SimNetwork(CommunicationGraph graph);
 
-  std::int32_t numProcessors() const override {
-    return static_cast<std::int32_t>(adjacency_.size());
-  }
-
-  std::span<const std::int32_t> neighbors(std::int32_t p) const override;
+  std::int32_t numProcessors() const override { return graph_.numDemands(); }
 
   /// Queues `message` for delivery to every neighbour of `message.from`
-  /// at the end of the current round. The per-neighbour fan-out is
-  /// deferred to the round boundary (MessagePlane::stageFanout), where it
-  /// expands in parallel when a runner is attached.
+  /// at the end of the current round. The fan-out — per network of the
+  /// sender, one row per neighbour — is deferred to the round boundary
+  /// (MessagePlane::stageFanout), where it expands in parallel when a
+  /// runner is attached.
   void broadcast(const Message& message) override;
 
   /// Ends the current round: delivers all queued messages into the
@@ -79,29 +73,16 @@ class SimNetwork : public Transport, public MutableTopology {
   // ---- MutableTopology (the online churn engine, src/online/) ----
   //
   // Demands arrive and depart on a *running* bus: the plane, the stats
-  // and the untouched adjacency lists all persist, so consecutive epoch
-  // re-solves share one warmed-up transport. Both calls require a round
-  // boundary (no staged traffic).
+  // and the graph all persist, so consecutive epoch re-solves share one
+  // warmed-up transport. Both calls require a round boundary (no staged
+  // traffic).
 
-  /// Attaches demand `p` (currently isolated) with the given sorted,
-  /// duplicate-free neighbour list; every neighbour's list gains `p`.
-  void connectDemand(std::int32_t p,
-                     std::span<const std::int32_t> neighbors) override;
-
-  /// Detaches demand `p`: removes every edge of `p` (both sides). The
-  /// processor stays addressable — it simply has no neighbours, exactly
-  /// like a demand that has departed.
+  void connectDemand(std::int32_t p) override;
   void disconnectDemand(std::int32_t p) override;
-
-  std::int32_t numDemands() const override { return numProcessors(); }
-
-  std::span<const std::int32_t> currentNeighbors(
-      std::int32_t demand) const override {
-    return neighbors(demand);
-  }
+  const CommunicationGraph& graph() const override { return graph_; }
 
  private:
-  std::vector<std::vector<std::int32_t>> adjacency_;
+  CommunicationGraph graph_;
   MessagePlane plane_;
   NetworkStats stats_;
 
@@ -112,14 +93,5 @@ class SimNetwork : public Transport, public MutableTopology {
   Counter* busyRoundsCtr_ = nullptr;
   Counter* messagesCtr_ = nullptr;
 };
-
-/// The protocol's communication graph: processors (demands) are adjacent
-/// iff they share an accessible network/resource (paper §5: neighbours can
-/// exchange messages because their demands may compete for edges of that
-/// network). `access[d]` lists the networks demand d may use; ids must lie
-/// in [0, numNetworks). Adjacency lists come back sorted and duplicate-free.
-std::vector<std::vector<std::int32_t>> communicationGraph(
-    const std::vector<std::vector<std::int32_t>>& access,
-    std::int32_t numNetworks);
 
 }  // namespace treesched

@@ -27,14 +27,14 @@ void MessagePlane::stage(std::int32_t dest, const Message& message) {
 }
 
 void MessagePlane::stageFanout(const Message& message,
-                               std::span<const std::int32_t> dests) {
-  if (dests.empty()) return;
+                               const CommunicationGraph& graph) {
+  const std::int32_t count = graph.degree(message.from);
+  if (count == 0) return;
   if (fanouts_.size() == fanouts_.capacity()) {
     noteGrowth();
   }
-  fanouts_.push_back({message, dests.data(),
-                      static_cast<std::int32_t>(dests.size())});
-  fanoutRows_ += static_cast<std::int64_t>(dests.size());
+  fanouts_.push_back({message, &graph, count});
+  fanoutRows_ += count;
 }
 
 void MessagePlane::expandFanouts() {
@@ -66,15 +66,14 @@ void MessagePlane::expandFanouts() {
   const auto expand = [this](std::size_t f) {
     const PendingFanout& fanout = fanouts_[f];
     auto row = static_cast<std::size_t>(fanoutOffset_[f]);
-    for (std::int32_t j = 0; j < fanout.count; ++j, ++row) {
-      checkIndex(fanout.dests[j], numProcessors(),
-                 "MessagePlane::stageFanout dest");
-      stageDest_[row] = fanout.dests[j];
+    fanout.graph->forEachNeighbor(fanout.message.from, [&](std::int32_t d) {
+      stageDest_[row] = d;
       stageKind_[row] = fanout.message.kind;
       stageFrom_[row] = fanout.message.from;
       stageInstance_[row] = fanout.message.instance;
       stageValue_[row] = fanout.message.value;
-    }
+      ++row;
+    });
   };
   if (runner_ != nullptr && runner_->threads() > 1 && fanouts_.size() > 1) {
     const ParallelRunner::ShardPlan plan =

@@ -31,6 +31,7 @@
 #include "dist/message.hpp"
 #include "engine/collate.hpp"
 #include "engine/parallel_runner.hpp"
+#include "net/communication_graph.hpp"
 
 namespace treesched {
 
@@ -50,17 +51,20 @@ class MessagePlane {
   /// Appends one (destination, message) row to the staging columns.
   void stage(std::int32_t dest, const Message& message);
 
-  /// Queues a broadcast fan-out: one staged row per destination, expanded
-  /// at the round boundary. `dests` must stay valid (and unchanged) until
-  /// deliver() — transports pass their adjacency lists, which only mutate
-  /// between rounds. With a runner attached the expansion runs as a
-  /// parallel section whose shards write disjoint precomputed row ranges
-  /// (owned slots, merged by position — never by thread completion
-  /// order), so the staged rows are exactly the serial expansion and the
-  /// bit-identity gates stay green. This removes the serial per-neighbour
-  /// staging loop from the transports' broadcast hot path.
-  void stageFanout(const Message& message,
-                   std::span<const std::int32_t> dests);
+  /// Queues a broadcast fan-out: one staged row per neighbour of
+  /// `message.from` in `graph`, expanded at the round boundary. The graph
+  /// must stay unchanged until deliver(); transports pass their
+  /// communication graph, which only mutates between rounds. The row
+  /// count is fixed here (CommunicationGraph::degree); the expansion
+  /// walks the sender's networks (CommunicationGraph::forEachNeighbor),
+  /// so a pair sharing two networks still gets one row. With a runner
+  /// attached the expansion runs as a parallel section whose shards write
+  /// disjoint precomputed row ranges (owned slots, merged by position —
+  /// never by thread completion order), so the staged rows are exactly
+  /// the serial expansion and the bit-identity gates stay green. This
+  /// removes the serial per-neighbour staging loop from the transports'
+  /// broadcast hot path.
+  void stageFanout(const Message& message, const CommunicationGraph& graph);
 
   bool hasStaged() const {
     return !stageDest_.empty() || !fanouts_.empty();
@@ -115,11 +119,11 @@ class MessagePlane {
   std::int64_t capacityBytes() const;
 
  private:
-  /// One queued broadcast fan-out: the message plus a borrowed view of
-  /// its destination list.
+  /// One queued broadcast fan-out: the message, a borrowed view of the
+  /// graph its sender broadcasts over, and its row count.
   struct PendingFanout {
     Message message;
-    const std::int32_t* dests = nullptr;
+    const CommunicationGraph* graph = nullptr;
     std::int32_t count = 0;
   };
 

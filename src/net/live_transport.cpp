@@ -9,9 +9,17 @@ namespace treesched {
 
 namespace {
 
-std::vector<std::vector<std::int32_t>> isolatedAdjacency(std::int32_t n) {
-  return std::vector<std::vector<std::int32_t>>(
-      static_cast<std::size_t>(std::max(1, n)));
+/// Every pool demand disconnected, over the networks the access lists
+/// name (ids must be non-negative).
+CommunicationGraph disconnectedGraph(
+    const std::vector<std::vector<std::int32_t>>& access) {
+  std::int32_t numNetworks = 0;
+  for (const auto& list : access) {
+    for (const std::int32_t t : list) {
+      numNetworks = std::max(numNetworks, t + 1);
+    }
+  }
+  return CommunicationGraph(access, numNetworks);
 }
 
 }  // namespace
@@ -26,10 +34,10 @@ std::unique_ptr<Transport> makeLiveTransport(
             "one accessibility list per pool demand", __FILE__, __LINE__);
   switch (config.kind) {
     case LiveTransportKind::SyncBus:
-      return std::make_unique<SimNetwork>(isolatedAdjacency(numDemands));
+      return std::make_unique<SimNetwork>(disconnectedGraph(access));
     case LiveTransportKind::Async:
       return std::make_unique<AlphaSynchronizer>(
-          isolatedAdjacency(numDemands), ShardPlacement::identity(numDemands),
+          disconnectedGraph(access), ShardPlacement::identity(numDemands),
           config.async);
     case LiveTransportKind::Sharded: {
       const std::int32_t processors =
@@ -37,7 +45,7 @@ std::unique_ptr<Transport> makeLiveTransport(
               ? config.async.shardProcessors
               : std::max<std::int32_t>(1, numDemands / 8);
       return std::make_unique<AlphaSynchronizer>(
-          isolatedAdjacency(numDemands),
+          disconnectedGraph(access),
           ShardPlacement::livePool(access, processors), config.async);
     }
   }

@@ -2,8 +2,9 @@
 //
 // The online incremental re-solver (online/incremental.hpp) owns only a
 // Transport& with the MutableTopology capability; this factory is where
-// a concrete wire is chosen. Every transport comes up with all pool
-// demands isolated — the churn engine connects them as they arrive —
+// a concrete wire is chosen. Every transport comes up with a
+// communication graph over all pool demands, every one of them
+// disconnected — the churn engine connects them as they arrive —
 // and every kind runs the protocol bit-identically (the Transport
 // contract), so the choice moves only the wire accounting: virtual
 // time, transmissions, retransmissions, drops, processor load.
@@ -37,9 +38,10 @@ struct LiveTransportConfig {
   AsyncConfig async;
 };
 
-/// Builds a live transport over `numDemands` isolated pool demands.
-/// `access[d]` lists the networks demand d may use — the locality signal
-/// of the Sharded kind (SyncBus/Async ignore it). Sharded with
+/// Builds a live transport over `numDemands` disconnected pool demands.
+/// `access[d]` lists the networks demand d may use: it defines the
+/// communication graph (ids must be non-negative) and is the locality
+/// signal of the Sharded kind. Sharded with
 /// `async.shardProcessors <= 0` defaults to max(1, numDemands / 8)
 /// processors. The returned transport implements MutableTopology.
 std::unique_ptr<Transport> makeLiveTransport(

@@ -17,8 +17,8 @@ ShardPlacement makePlacement(
 DistributedResult runOverSynchronizer(
     PreparedRun run, const std::vector<std::vector<std::int32_t>>& access,
     const DistributedOptions& options, const AsyncConfig& net) {
-  AlphaSynchronizer transport(std::move(run.adjacency),
-                              makePlacement(access, net), net);
+  AlphaSynchronizer transport(std::move(run.graph), makePlacement(access, net),
+                              net);
   return runDistributedOverTransport(run.universe, run.layering, transport,
                                      options);
 }

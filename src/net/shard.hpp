@@ -199,11 +199,4 @@ struct ShardPlacement {
 /// (online/arrivals.cpp), so both must share this definition.
 std::int32_t homeNetworkOf(const std::vector<std::int32_t>& access);
 
-/// Collapses a demand-level communication graph to the processor level:
-/// processors P, Q are adjacent iff some demand on P is adjacent to some
-/// demand on Q (P != Q). Lists come back sorted and duplicate-free.
-std::vector<std::vector<std::int32_t>> shardAdjacency(
-    const std::vector<std::vector<std::int32_t>>& demandAdjacency,
-    const ShardPlacement& placement);
-
 }  // namespace treesched

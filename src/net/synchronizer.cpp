@@ -19,183 +19,130 @@ constexpr std::array<double, 16> kHostedBuckets = {
     1,  2,   4,   8,    16,   32,   64,    128,
     256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
 
-/// Validation must run in the member-init list, before the constructor
-/// body's edge loop reads placements for the adjacency's endpoints —
-/// a malformed graph would hit out-of-range reads there otherwise.
-std::vector<std::vector<std::int32_t>> validated(
-    std::vector<std::vector<std::int32_t>> adjacency) {
-  validateCommunicationAdjacency(adjacency);
-  return adjacency;
-}
-
 }  // namespace
 
-AlphaSynchronizer::AlphaSynchronizer(
-    std::vector<std::vector<std::int32_t>> demandAdjacency,
-    ShardPlacement placement, const AsyncConfig& config)
-    : adjacency_(validated(std::move(demandAdjacency))),
+AlphaSynchronizer::AlphaSynchronizer(CommunicationGraph graph,
+                                     ShardPlacement placement,
+                                     const AsyncConfig& config)
+    : graph_(std::move(graph)),
       placement_(std::move(placement)),
-      physAdjacency_(static_cast<std::size_t>(placement_.numProcessors)),
+      hosts_(static_cast<std::size_t>(graph_.numNetworks())),
+      links_(static_cast<std::size_t>(placement_.numProcessors)),
       phys_(placement_.numProcessors, config.link, config.seed),
       silentRoundCost_(config.link.latency.base),
-      plane_(std::max<std::int32_t>(
-          1, static_cast<std::int32_t>(adjacency_.size()))) {
-  checkThat(static_cast<std::int32_t>(adjacency_.size()) ==
-                placement_.numDemands(),
+      plane_(std::max<std::int32_t>(1, graph_.numDemands())) {
+  checkThat(graph_.numDemands() == placement_.numDemands(),
             "placement covers the communication graph", __FILE__, __LINE__);
-  remoteProcsOf_.resize(adjacency_.size());
   for (DemandId d = 0; d < numProcessors(); ++d) {
-    checkThat(placement_.isPlaced(d) ||
-                  adjacency_[static_cast<std::size_t>(d)].empty(),
-              "unplaced demands must be isolated", __FILE__, __LINE__);
-    rebuildRemoteProcs(d);
-    for (const std::int32_t e : adjacency_[static_cast<std::size_t>(d)]) {
-      if (d < e) {
-        addPhysicalEdge(d, e);
-      }
-    }
+    if (!graph_.connected(d)) continue;
+    checkThat(placement_.isPlaced(d), "connected demands must be placed",
+              __FILE__, __LINE__);
+    tallyHosts(d, +1);
   }
   stats_.processorLoad.assign(
       static_cast<std::size_t>(placement_.numProcessors), 0);
 }
 
-std::uint64_t AlphaSynchronizer::linkKey(std::int32_t p, std::int32_t q) {
-  if (p > q) std::swap(p, q);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(q));
+bool AlphaSynchronizer::bumpTally(std::vector<Tally>& list, std::int32_t id,
+                                  std::int32_t delta) {
+  const auto pos = std::lower_bound(
+      list.begin(), list.end(), id,
+      [](const Tally& tally, std::int32_t key) { return tally.id < key; });
+  if (pos == list.end() || pos->id != id) {
+    checkThat(delta > 0, "tally entry present", __FILE__, __LINE__);
+    list.insert(pos, Tally{id, delta});
+    return true;
+  }
+  pos->count += delta;
+  if (pos->count > 0) return false;
+  list.erase(pos);
+  return true;
 }
 
-void AlphaSynchronizer::rebuildRemoteProcs(std::int32_t d) {
-  auto& remote = remoteProcsOf_[static_cast<std::size_t>(d)];
-  remote.clear();
-  const std::int32_t home = processorOf(d);
-  for (const std::int32_t e : adjacency_[static_cast<std::size_t>(d)]) {
-    if (processorOf(e) != home) {
-      remote.push_back(processorOf(e));
+void AlphaSynchronizer::tallyHosts(DemandId d, std::int32_t delta) {
+  const std::int32_t p = processorOf(d);
+  for (const std::int32_t t : graph_.networksOf(d)) {
+    auto& hosts = hosts_[static_cast<std::size_t>(t)];
+    if (!bumpTally(hosts, p, delta)) continue;
+    // p just started or stopped hosting t: its link to every other host
+    // of t gains or loses one shared network.
+    for (const Tally& host : hosts) {
+      if (host.id == p) continue;
+      bumpTally(links_[static_cast<std::size_t>(p)], host.id, delta);
+      bumpTally(links_[static_cast<std::size_t>(host.id)], p, delta);
     }
   }
-  std::sort(remote.begin(), remote.end());
-  remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
 }
 
-void AlphaSynchronizer::addPhysicalEdge(std::int32_t a, std::int32_t b) {
-  const std::int32_t p = processorOf(a);
-  const std::int32_t q = processorOf(b);
-  if (p == q) return;
-  if (++physEdgeCount_[linkKey(p, q)] == 1) {
-    auto& ofP = physAdjacency_[static_cast<std::size_t>(p)];
-    ofP.insert(std::lower_bound(ofP.begin(), ofP.end(), q), q);
-    auto& ofQ = physAdjacency_[static_cast<std::size_t>(q)];
-    ofQ.insert(std::lower_bound(ofQ.begin(), ofQ.end(), p), p);
+template <typename Visit>
+void AlphaSynchronizer::forEachNeighborOn(DemandId from, std::int32_t p,
+                                          Visit&& visit) const {
+  // `from` itself counts among the hosts of its own processor.
+  const std::int32_t self = processorOf(from) == p ? 1 : 0;
+  for (const std::int32_t t : graph_.networksOf(from)) {
+    const auto& hosts = hosts_[static_cast<std::size_t>(t)];
+    const auto host = std::lower_bound(
+        hosts.begin(), hosts.end(), p,
+        [](const Tally& tally, std::int32_t key) { return tally.id < key; });
+    if (host == hosts.end() || host->id != p || host->count <= self) continue;
+    for (const std::int32_t m : graph_.members(t)) {
+      if (m != from && processorOf(m) == p && graph_.firstShared(from, m, t)) {
+        visit(m);
+      }
+    }
   }
 }
 
-void AlphaSynchronizer::removePhysicalEdge(std::int32_t a, std::int32_t b) {
-  const std::int32_t p = processorOf(a);
-  const std::int32_t q = processorOf(b);
-  if (p == q) return;
-  const auto count = physEdgeCount_.find(linkKey(p, q));
-  checkThat(count != physEdgeCount_.end() && count->second > 0,
-            "physical link backed by a demand edge", __FILE__, __LINE__);
-  if (--count->second == 0) {
-    physEdgeCount_.erase(count);
-    auto& ofP = physAdjacency_[static_cast<std::size_t>(p)];
-    ofP.erase(std::lower_bound(ofP.begin(), ofP.end(), q));
-    auto& ofQ = physAdjacency_[static_cast<std::size_t>(q)];
-    ofQ.erase(std::lower_bound(ofQ.begin(), ofQ.end(), p));
-  }
-}
-
-void AlphaSynchronizer::connectDemand(
-    std::int32_t d, std::span<const std::int32_t> neighbors) {
+void AlphaSynchronizer::connectDemand(std::int32_t d) {
   checkIndex(d, numProcessors(), "AlphaSynchronizer::connectDemand");
   checkThat(!plane_.hasStaged() && pendingPayload_ == 0,
             "topology mutation only between rounds", __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(d)];
-  checkThat(own.empty(), "connectDemand target must be isolated", __FILE__,
+  checkThat(!graph_.connected(d), "a demand connects once", __FILE__,
             __LINE__);
-  // Validate the whole list before touching any state (strong guarantee:
-  // a rejected call leaves the live topology unchanged).
-  for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
-    const std::int32_t n = neighbors[idx];
-    checkIndex(n, numProcessors(), "connectDemand neighbour");
-    checkThat(n != d, "no self links", __FILE__, __LINE__);
-    checkThat(idx == 0 || neighbors[idx - 1] < n,
-              "connectDemand neighbours sorted, duplicate-free", __FILE__,
-              __LINE__);
-  }
-  // Live placements host arrivals on demand: d first, then any
-  // still-isolated neighbour, in list order — deterministic.
   if (placement_.live && !placement_.isPlaced(d)) {
     const std::int32_t proc = placement_.placeDemand(d);
     if (ledgerOn_) ledgerPlacement(d, proc);
   }
-  for (const std::int32_t n : neighbors) {
-    if (placement_.live && !placement_.isPlaced(n)) {
-      const std::int32_t proc = placement_.placeDemand(n);
-      if (ledgerOn_) ledgerPlacement(n, proc);
-    }
-  }
-  own.assign(neighbors.begin(), neighbors.end());
-  for (const std::int32_t n : neighbors) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), d);
-    checkThat(pos == theirs.end() || *pos != d,
-              "connectDemand edge already present", __FILE__, __LINE__);
-    theirs.insert(pos, d);
-    addPhysicalEdge(d, n);
-  }
-  // Safe-marker bookkeeping rebuilt only for the touched demands.
-  rebuildRemoteProcs(d);
-  for (const std::int32_t n : neighbors) {
-    rebuildRemoteProcs(n);
-  }
+  checkThat(placement_.isPlaced(d), "connected demands must be placed",
+            __FILE__, __LINE__);
+  graph_.connect(d);
+  tallyHosts(d, +1);
 }
 
 void AlphaSynchronizer::disconnectDemand(std::int32_t d) {
   checkIndex(d, numProcessors(), "AlphaSynchronizer::disconnectDemand");
   checkThat(!plane_.hasStaged() && pendingPayload_ == 0,
             "topology mutation only between rounds", __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(d)];
-  const std::vector<std::int32_t> former(own.begin(), own.end());
-  for (const std::int32_t n : former) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), d);
-    checkThat(pos != theirs.end() && *pos == d,
-              "disconnectDemand edge symmetric", __FILE__, __LINE__);
-    theirs.erase(pos);
-    removePhysicalEdge(d, n);
-  }
-  own.clear();
-  rebuildRemoteProcs(d);
-  for (const std::int32_t n : former) {
-    rebuildRemoteProcs(n);
-  }
-  if (placement_.live && placement_.isPlaced(d)) {
+  if (!graph_.connected(d)) return;
+  tallyHosts(d, -1);
+  graph_.disconnect(d);
+  if (placement_.live) {
     placement_.removeDemand(d);
   }
 }
 
-std::span<const std::int32_t> AlphaSynchronizer::neighbors(
-    std::int32_t p) const {
-  checkIndex(p, numProcessors(), "AlphaSynchronizer::neighbors");
-  return adjacency_[static_cast<std::size_t>(p)];
-}
-
 void AlphaSynchronizer::broadcast(const Message& message) {
   checkIndex(message.from, numProcessors(), "AlphaSynchronizer::broadcast");
-  const auto from = static_cast<std::size_t>(message.from);
-  const std::int32_t home = processorOf(message.from);
+  const DemandId from = message.from;
+  if (!graph_.connected(from)) return;
+  const std::int32_t home = processorOf(from);
   // Same-processor neighbours: delivered from local memory at the round
   // boundary, never touching the wire.
-  for (const std::int32_t d : adjacency_[from]) {
-    if (processorOf(d) == home) {
-      plane_.stage(d, message);
+  forEachNeighborOn(from, home, [&](DemandId d) { plane_.stage(d, message); });
+  // One wire packet per remote processor hosting a neighbour, in
+  // ascending processor order (the wire keys its draws by packet id);
+  // the receiver fans it out to every hosted neighbour of the sender.
+  remoteScratch_.clear();
+  for (const std::int32_t t : graph_.networksOf(from)) {
+    for (const Tally& host : hosts_[static_cast<std::size_t>(t)]) {
+      if (host.id != home) remoteScratch_.push_back(host.id);
     }
   }
-  // One wire packet per remote processor; the receiver fans it out to
-  // every hosted neighbour of the sender.
-  for (const std::int32_t q : remoteProcsOf_[from]) {
+  std::sort(remoteScratch_.begin(), remoteScratch_.end());
+  remoteScratch_.erase(
+      std::unique(remoteScratch_.begin(), remoteScratch_.end()),
+      remoteScratch_.end());
+  for (const std::int32_t q : remoteScratch_) {
     phys_.send(home, q, message);
     ++pendingPayload_;
   }
@@ -207,18 +154,15 @@ void AlphaSynchronizer::endRound() {
   // Safe markers: every processor tells each physical neighbour it has
   // sent everything for this round. The markers ride the same lossy
   // links (acked, retransmitted) — they are the synchronizer's cost.
+  bool anyWire = pendingPayload_ > 0;
   for (std::int32_t p = 0; p < placement_.numProcessors; ++p) {
-    for (const std::int32_t q :
-         physAdjacency_[static_cast<std::size_t>(p)]) {
-      phys_.send(p, q, Message{}, /*control=*/true);
+    for (const Tally& link : links_[static_cast<std::size_t>(p)]) {
+      phys_.send(p, link.id, Message{}, /*control=*/true);
+      anyWire = true;
     }
   }
 
   // Round r+1 starts once all round-r payload and markers are delivered.
-  bool anyWire = pendingPayload_ > 0;
-  for (const auto& nbrs : physAdjacency_) {
-    anyWire = anyWire || !nbrs.empty();
-  }
   if (anyWire) {
     phys_.flush();
   } else {
@@ -233,12 +177,9 @@ void AlphaSynchronizer::endRound() {
   // deliveries were staged at broadcast time) in canonical order.
   for (std::int32_t p = 0; p < placement_.numProcessors; ++p) {
     for (const PhysicalDelivery& delivery : phys_.delivered(p)) {
-      const auto sender = static_cast<std::size_t>(delivery.payload.from);
-      for (const std::int32_t d : adjacency_[sender]) {
-        if (processorOf(d) == p) {
-          plane_.stage(d, delivery.payload);
-        }
-      }
+      forEachNeighborOn(delivery.payload.from, p, [&](DemandId d) {
+        plane_.stage(d, delivery.payload);
+      });
     }
   }
   phys_.drainDeliveries();
@@ -362,14 +303,10 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
   outcome.loadVarianceAfter = plan.varianceAfter;
 
   // Apply each migration with the connect/disconnect bookkeeping split
-  // around the placement change: a demand edge's physical-link
-  // contribution is keyed by both endpoint placements, so it must come
-  // off the refcounts while the old placement is still visible and go
-  // back on under the new one. Edges between two migrating demands stay
-  // exact because each move handles only its own endpoint.
-  touchedScratch_.clear();
+  // around the placement change: host counts are keyed by placement, so
+  // they come off while the old placement is still visible and go back
+  // on under the new one.
   for (const ShardPlacement::Migration& move : plan.moves) {
-    const auto d = static_cast<std::size_t>(move.demand);
     if (ledgerOn_) {
       LedgerEvent ev;
       ev.demand = move.demand;
@@ -378,27 +315,12 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
       ev.toProcessor = move.to;
       ledger_->record(ev);
     }
-    for (const std::int32_t e : adjacency_[d]) {
-      removePhysicalEdge(move.demand, e);
-    }
+    tallyHosts(move.demand, -1);
     placement_.migrateDemand(move.demand, move.to);
-    for (const std::int32_t e : adjacency_[d]) {
-      addPhysicalEdge(move.demand, e);
-      touchedScratch_.push_back(e);
-    }
-    touchedScratch_.push_back(move.demand);
+    tallyHosts(move.demand, +1);
   }
   for (const auto& [net, to] : plan.anchorMoves) {
     placement_.retargetAnchor(net, to);
-  }
-  // Remote-processor broadcast sets: rebuilt once per touched demand
-  // (movers and their neighbours), in ascending order.
-  std::sort(touchedScratch_.begin(), touchedScratch_.end());
-  touchedScratch_.erase(
-      std::unique(touchedScratch_.begin(), touchedScratch_.end()),
-      touchedScratch_.end());
-  for (const std::int32_t d : touchedScratch_) {
-    rebuildRemoteProcs(d);
   }
 
   if (trace_) {

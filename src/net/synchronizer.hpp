@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/message_plane.hpp"
@@ -49,24 +48,21 @@ struct AsyncConfig {
 /// The synchronizer's topology is live (MutableTopology): demands can
 /// connect and disconnect between rounds, exactly like on the
 /// round-synchronous bus. The safe-marker bookkeeping — the physical
-/// link set markers ride on — is maintained incrementally: a mutation
-/// updates per-link demand-edge refcounts and rebuilds the remote
-/// processor sets only for the touched demands, never the whole graph.
-/// On a live ShardPlacement arrivals are placed locality-aware and
-/// departures tombstoned (net/shard.hpp).
+/// link set markers ride on — is derived from per-(network, processor)
+/// host counts: processors p != q are linked while some network has a
+/// connected member hosted on each. A mutation touches only the host
+/// counts of the demand's own networks, never the whole graph. On a live
+/// ShardPlacement arrivals are placed locality-aware and departures
+/// tombstoned (net/shard.hpp).
 class AlphaSynchronizer : public Transport, public MutableTopology {
  public:
-  /// `demandAdjacency` is the protocol's communication graph (validated);
-  /// `placement` maps its vertices onto physical processors. Demands may
-  /// be unplaced only while isolated (live placements place them on
-  /// connect).
-  AlphaSynchronizer(std::vector<std::vector<std::int32_t>> demandAdjacency,
-                    ShardPlacement placement, const AsyncConfig& config);
+  /// `graph` is the protocol's communication graph; `placement` maps its
+  /// demands onto physical processors. Demands may be unplaced only
+  /// while disconnected (live placements place them on connect).
+  AlphaSynchronizer(CommunicationGraph graph, ShardPlacement placement,
+                    const AsyncConfig& config);
 
-  std::int32_t numProcessors() const override {
-    return static_cast<std::int32_t>(adjacency_.size());
-  }
-  std::span<const std::int32_t> neighbors(std::int32_t p) const override;
+  std::int32_t numProcessors() const override { return graph_.numDemands(); }
   void broadcast(const Message& message) override;
   void endRound() override;
   void endSilentRounds(std::int64_t count) override;
@@ -99,35 +95,25 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
 
   // ---- MutableTopology -------------------------------------------------
 
-  /// Attaches demand `d` (currently isolated) with the given sorted,
-  /// duplicate-free neighbour list. On a live placement, `d` (and any
-  /// still-unplaced neighbour) is placed locality-aware first; new
-  /// physical links appear only where a demand edge first crosses a
-  /// processor pair.
-  void connectDemand(std::int32_t d,
-                     std::span<const std::int32_t> neighbors) override;
+  /// Connects demand `d`; on a live placement `d` is placed
+  /// locality-aware first. Physical links appear only where one of d's
+  /// networks first gains a host on a processor.
+  void connectDemand(std::int32_t d) override;
 
-  /// Detaches demand `d`: every edge is removed (both sides), physical
-  /// links whose last crossing demand edge disappeared are dropped from
-  /// the safe-marker set, and on a live placement the demand is
-  /// tombstoned out of its shard.
+  /// Disconnects demand `d`: links whose last shared network lost its
+  /// host here are dropped from the safe-marker set, and on a live
+  /// placement the demand is tombstoned out of its shard.
   void disconnectDemand(std::int32_t d) override;
 
-  std::int32_t numDemands() const override { return numProcessors(); }
-
-  std::span<const std::int32_t> currentNeighbors(
-      std::int32_t demand) const override {
-    return neighbors(demand);
-  }
+  const CommunicationGraph& graph() const override { return graph_; }
 
   /// Epoch-boundary hot-shard rebalancing (live placements with > 1
   /// processor; everything else reports current variance and moves
   /// nothing). Applies the deterministic ShardPlacement::planRebalance
-  /// plan: every migrated demand's physical-edge contributions are
-  /// removed at the old placement and re-added at the new one, and the
-  /// remote-processor broadcast sets of every touched demand (movers and
-  /// their neighbours) are rebuilt — the same incremental bookkeeping as
-  /// connect/disconnect, so safe-marker traffic stays exact. Placement
+  /// plan: every migrated demand's host counts are removed at the old
+  /// placement and re-added at the new one — the same incremental
+  /// bookkeeping as connect/disconnect, so safe-marker traffic stays
+  /// exact. Placement
   /// is wire accounting only: the schedule is bit-identical with or
   /// without rebalancing (tests/rebalance_test.cpp). Emits a
   /// "rebalance" span when a tracer is live; the load telemetry itself
@@ -148,27 +134,36 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
     return placement_.processorOfDemand[static_cast<std::size_t>(d)];
   }
 
-  static std::uint64_t linkKey(std::int32_t p, std::int32_t q);
+  /// A count keyed by id, kept in id-sorted lists: hosted demands per
+  /// (network, processor), shared networks per physical link.
+  struct Tally {
+    std::int32_t id = 0;
+    std::int32_t count = 0;
+  };
 
-  /// Rebuilds the remote-processor broadcast set of one demand from its
-  /// current adjacency — O(degree), called only for touched demands.
-  void rebuildRemoteProcs(std::int32_t d);
+  /// Adds `delta` (+1 or -1) to `id`'s tally in the sorted `list`;
+  /// returns true when the entry appeared or disappeared.
+  static bool bumpTally(std::vector<Tally>& list, std::int32_t id,
+                        std::int32_t delta);
 
-  /// Adds/removes one demand edge's contribution to the physical link
-  /// (processorOf(a), processorOf(b)); the link itself appears/disappears
-  /// when its crossing-edge refcount moves between 0 and 1.
-  void addPhysicalEdge(std::int32_t a, std::int32_t b);
-  void removePhysicalEdge(std::int32_t a, std::int32_t b);
+  /// Adds `delta` (+1 or -1) to the host count of demand `d`'s processor
+  /// in each of d's networks, and the same to the link between that
+  /// processor and every other host of a network it joins or leaves.
+  void tallyHosts(DemandId d, std::int32_t delta);
 
-  std::vector<std::vector<std::int32_t>> adjacency_;  ///< demand-level
+  /// Calls `visit(m)` for every neighbour m of `from` hosted on processor
+  /// `p`, skipping networks with no such host.
+  template <typename Visit>
+  void forEachNeighborOn(DemandId from, std::int32_t p, Visit&& visit) const;
+
+  CommunicationGraph graph_;
   ShardPlacement placement_;
-  std::vector<std::vector<std::int32_t>> physAdjacency_;  ///< processor-level
-  /// Demand edges crossing each physical link (unordered processor-pair
-  /// key) — the incremental safe-marker bookkeeping.
-  std::unordered_map<std::uint64_t, std::int32_t> physEdgeCount_;
-  /// Remote processors hosting at least one neighbour of demand d —
-  /// each broadcast goes to the wire once per entry, not once per demand.
-  std::vector<std::vector<std::int32_t>> remoteProcsOf_;
+  /// Per network: connected members hosted on each processor.
+  std::vector<std::vector<Tally>> hosts_;
+  /// Per processor: networks with a host both here and on each linked
+  /// processor — the safe-marker links.
+  std::vector<std::vector<Tally>> links_;
+  std::vector<std::int32_t> remoteScratch_;  ///< one broadcast's wire set
   AsyncNetwork phys_;
   double silentRoundCost_ = 0;
   std::int64_t pendingPayload_ = 0;  ///< wire packets since last boundary
@@ -203,7 +198,6 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   /// refreshed at every recordPlacementLoad call — the online solver's
   /// epoch cadence, rebalancing or not).
   void publishLoadTelemetry();
-  std::vector<std::int32_t> touchedScratch_;  ///< rebalance rebuild set
 };
 
 }  // namespace treesched

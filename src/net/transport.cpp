@@ -1,7 +1,5 @@
 #include "net/transport.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace treesched {
@@ -42,36 +40,6 @@ MutableTopology& requireMutableTopology(Transport& transport) {
             "transport supports live topology mutation (MutableTopology)",
             __FILE__, __LINE__);
   return *topology;
-}
-
-void validateLiveTopology(const MutableTopology& topology) {
-  std::vector<std::vector<std::int32_t>> adjacency(
-      static_cast<std::size_t>(topology.numDemands()));
-  for (std::int32_t d = 0; d < topology.numDemands(); ++d) {
-    const auto neighbors = topology.currentNeighbors(d);
-    adjacency[static_cast<std::size_t>(d)].assign(neighbors.begin(),
-                                                  neighbors.end());
-  }
-  validateCommunicationAdjacency(adjacency);
-}
-
-void validateCommunicationAdjacency(
-    const std::vector<std::vector<std::int32_t>>& adjacency) {
-  const auto n = static_cast<std::int32_t>(adjacency.size());
-  for (std::int32_t v = 0; v < n; ++v) {
-    auto sorted = adjacency[static_cast<std::size_t>(v)];
-    std::sort(sorted.begin(), sorted.end());
-    checkThat(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-              "adjacency list duplicate-free", __FILE__, __LINE__);
-    for (const std::int32_t w : sorted) {
-      checkThat(w >= 0 && w < n, "adjacency entry in range", __FILE__,
-                __LINE__);
-      checkThat(w != v, "no self loops", __FILE__, __LINE__);
-      const auto& back = adjacency[static_cast<std::size_t>(w)];
-      checkThat(std::find(back.begin(), back.end(), v) != back.end(),
-                "adjacency symmetric", __FILE__, __LINE__);
-    }
-  }
 }
 
 }  // namespace treesched

@@ -13,11 +13,16 @@
 //    physical network (net/async_network.hpp), optionally sharded so one
 //    simulated processor hosts many demands (net/shard.hpp).
 //
+// Both read the same CommunicationGraph (net/communication_graph.hpp):
+// network incidence, never an expanded adjacency. A demand's neighbours
+// are the other connected members of its networks.
+//
 // The contract every Transport must honour for protocol correctness:
 // a message broadcast in round r is present in every neighbour's inbox
-// after endRound() — exactly once, with inboxes sorted canonically
-// (canonicalMessageLess) — and in no other round. Any implementation
-// honouring it runs the protocol bit-identically to the synchronous bus.
+// after endRound() — exactly once, even for a pair sharing several
+// networks, with inboxes sorted canonically (canonicalMessageLess) — and
+// in no other round. Any implementation honouring it runs the protocol
+// bit-identically to the synchronous bus.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "dist/message.hpp"
+#include "net/communication_graph.hpp"
 
 namespace treesched {
 
@@ -71,8 +77,6 @@ class Transport {
   virtual ~Transport() = default;
 
   virtual std::int32_t numProcessors() const = 0;
-
-  virtual std::span<const std::int32_t> neighbors(std::int32_t p) const = 0;
 
   /// Queues `message` for delivery to every neighbour of `message.from`
   /// at the end of the current round.
@@ -133,12 +137,6 @@ class Transport {
   virtual const NetworkStats& stats() const = 0;
 };
 
-/// Validates a communication adjacency: symmetric, loop-free, entries in
-/// range, duplicate-free. Throws CheckError otherwise. Every transport
-/// construction funnels through this.
-void validateCommunicationAdjacency(
-    const std::vector<std::vector<std::int32_t>>& adjacency);
-
 /// Knobs of the epoch-boundary hot-shard rebalancer (live sharded
 /// placements only). Rebalancing moves hosted demands between physical
 /// processors — pure wire accounting, never the schedule — so it is safe
@@ -174,31 +172,26 @@ struct RebalanceOutcome {
 /// (async/lossy wire, optionally sharded); a transport that cannot
 /// mutate simply does not derive from this.
 ///
-/// Contract (all calls require a round boundary — no staged traffic):
-///  * connectDemand attaches an isolated demand with a sorted,
-///    duplicate-free neighbour list; every neighbour's list gains it.
-///  * disconnectDemand removes every edge of the demand (both sides);
-///    the endpoint stays addressable with no neighbours, exactly like a
-///    departed demand. Disconnecting an isolated (never-connected or
-///    already-departed) demand is a no-op.
-///  * After any mutation the live adjacency must still satisfy
-///    validateCommunicationAdjacency — validateLiveTopology() re-checks.
+/// Contract (both mutations require a round boundary — no staged
+/// traffic):
+///  * connectDemand joins the demand to the member list of each of its
+///    networks, so it becomes adjacent to every connected demand sharing
+///    one. Connecting a connected demand throws CheckError.
+///  * disconnectDemand leaves those lists; the endpoint stays addressable
+///    with no neighbours, exactly like a departed demand. Disconnecting a
+///    disconnected (never-connected or already-departed) demand is a
+///    no-op.
 class MutableTopology {
  public:
   virtual ~MutableTopology() = default;
 
-  virtual void connectDemand(std::int32_t demand,
-                             std::span<const std::int32_t> neighbors) = 0;
+  virtual void connectDemand(std::int32_t demand) = 0;
 
   virtual void disconnectDemand(std::int32_t demand) = 0;
 
-  /// Number of demand-level endpoints the topology addresses.
-  virtual std::int32_t numDemands() const = 0;
-
-  /// Current neighbours of `demand` (sorted, duplicate-free); the live
-  /// adjacency query. Invalidated by the next mutation.
-  virtual std::span<const std::int32_t> currentNeighbors(
-      std::int32_t demand) const = 0;
+  /// The live communication graph: one endpoint per pool demand, its
+  /// member lists changed only by the two calls above.
+  virtual const CommunicationGraph& graph() const = 0;
 
   /// Rebalances hosted demands across physical processors (requires a
   /// round boundary, like every mutation). Placement is transport
@@ -225,9 +218,5 @@ MutableTopology* mutableTopologyOf(Transport& transport);
 /// Checked variant: throws CheckError when the transport cannot mutate
 /// its topology. The online solver funnels through this.
 MutableTopology& requireMutableTopology(Transport& transport);
-
-/// Re-runs validateCommunicationAdjacency on the live adjacency — the
-/// post-mutation audit of the MutableTopology contract.
-void validateLiveTopology(const MutableTopology& topology);
 
 }  // namespace treesched

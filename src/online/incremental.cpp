@@ -62,7 +62,6 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
       layering_(universe.layeringView()),
       bus_(transport),
       topo_(requireMutableTopology(transport)),
-      networkMembers_(static_cast<std::size_t>(universe.numNetworks())),
       dual_(universe),
       lhs_(static_cast<std::size_t>(universe.numInstances()), 0.0),
       raisesOfDemand_(static_cast<std::size_t>(universe.numDemands())),
@@ -106,17 +105,12 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
   checkThat(bus_.numProcessors() == u_.numDemands(),
             "transport exposes one endpoint per pool demand", __FILE__,
             __LINE__);
+  const CommunicationGraph& graph = topo_.graph();
   for (DemandId d = 0; d < u_.numDemands(); ++d) {
-    checkThat(topo_.currentNeighbors(d).empty(),
-              "pool demands start isolated on the live transport", __FILE__,
-              __LINE__);
+    checkThat(!graph.connected(d),
+              "pool demands start disconnected on the live transport",
+              __FILE__, __LINE__);
   }
-}
-
-std::uint64_t IncrementalSolver::pairKey(std::int32_t a, std::int32_t b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(b));
 }
 
 void IncrementalSolver::activate(DemandId d) {
@@ -146,20 +140,7 @@ void IncrementalSolver::activate(DemandId d) {
       d, std::max<std::int64_t>(
              1, static_cast<std::int64_t>(newInstances.size())));
 
-  // New communication edges: one per active demand first found sharing a
-  // network with d; further shared networks only bump the edge's count.
-  newNeighbors_.clear();
-  for (const std::int32_t t : u_.access()[static_cast<std::size_t>(d)]) {
-    auto& members = networkMembers_[static_cast<std::size_t>(t)];
-    for (const DemandId m : members) {
-      if (++sharedNetworks_[pairKey(d, m)] == 1) {
-        newNeighbors_.push_back(m);
-      }
-    }
-    members.insert(std::lower_bound(members.begin(), members.end(), d), d);
-  }
-  std::sort(newNeighbors_.begin(), newNeighbors_.end());
-  topo_.connectDemand(d, newNeighbors_);
+  topo_.connectDemand(d);
 }
 
 void IncrementalSolver::deactivate(DemandId d) {
@@ -169,16 +150,6 @@ void IncrementalSolver::deactivate(DemandId d) {
     ++departedUnadmitted_;
   }
 
-  for (const std::int32_t t : u_.access()[static_cast<std::size_t>(d)]) {
-    auto& members = networkMembers_[static_cast<std::size_t>(t)];
-    const auto pos = std::lower_bound(members.begin(), members.end(), d);
-    checkThat(pos != members.end() && *pos == d, "departing demand listed",
-              __FILE__, __LINE__);
-    members.erase(pos);
-  }
-  for (const std::int32_t m : topo_.currentNeighbors(d)) {
-    sharedNetworks_.erase(pairKey(d, m));
-  }
   topo_.disconnectDemand(d);
 
   // Zero the departing instances' pool-dense LHS entries (they still
@@ -558,10 +529,13 @@ EpochOutcome IncrementalSolver::applyEpoch(
                   {"departures", outcome.departures}});
   }
 
-  // Affected region: active demands on a changed network.
+  // Affected region: active demands on a changed network — the live
+  // graph's members, since exactly the live demands are connected.
   affected_.clear();
+  const CommunicationGraph& graph = topo_.graph();
   for (const std::int32_t t : changedNetworks_) {
-    const auto& members = networkMembers_[static_cast<std::size_t>(t)];
+    checkIndex(t, graph.numNetworks(), "changed network on the live graph");
+    const auto members = graph.members(t);
     affected_.insert(affected_.end(), members.begin(), members.end());
   }
   std::sort(affected_.begin(), affected_.end());

@@ -13,11 +13,11 @@
 //    (alpha(d) + the surviving beta along its path). No pool-sized
 //    structure is ever built, so per-arrival cost is independent of
 //    pool size and steady-state memory tracks live demands.
-//  * The communication graph is extended incrementally — arrival of d
-//    adds node d plus edges to active demands sharing a network (via a
-//    shared-network edge count, so duplicated shared networks never
-//    duplicate edges); departure removes d's edges. Never a full
-//    rebuild, and the transport (with its warmed-up buffers and
+//  * The communication graph is the transport's network incidence
+//    (net/communication_graph.hpp): arrival of d connects it to the
+//    member list of each of its networks, departure disconnects it —
+//    O(access) list edits, never a rebuild. The same member lists are
+//    the affected-region index. The transport (with its warmed-up buffers and
 //    cumulative stats) persists across every epoch. The solver speaks
 //    only the Transport + MutableTopology contracts (net/transport.hpp):
 //    the same solver runs over the synchronous bus, the asynchronous
@@ -75,7 +75,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dynamic_universe.hpp"
@@ -215,10 +214,10 @@ struct AdmissionSla {
 class IncrementalSolver {
  public:
   /// `universe` must start with zero live demands (the solver owns the
-  /// live set from here on); `transport` must expose one endpoint per
-  /// pool demand, all isolated, and support MutableTopology
-  /// (net/live_transport.hpp builds one). The references must outlive
-  /// the solver.
+  /// live set from here on); `transport` must support MutableTopology,
+  /// with a graph over the pool's access lists and every demand
+  /// disconnected (net/live_transport.hpp builds one). The references
+  /// must outlive the solver.
   IncrementalSolver(DynamicUniverse& universe,
                     const OnlineSolverConfig& config, Transport& transport);
 
@@ -278,8 +277,6 @@ class IncrementalSolver {
     bool live = false;
   };
 
-  static std::uint64_t pairKey(std::int32_t a, std::int32_t b);
-
   void activate(DemandId d);
   void deactivate(DemandId d);
   void purgeRaisesOf(DemandId d);
@@ -297,14 +294,9 @@ class IncrementalSolver {
   DynamicLayeringView layering_;  ///< the universe's, for the engine
 
   Transport& bus_;         ///< the live transport, persistent across epochs
-  MutableTopology& topo_;  ///< its mutation facet (same object)
-
-  // Incremental communication-graph bookkeeping (the live set itself is
-  // the universe's).
-  std::vector<std::vector<DemandId>> networkMembers_;  ///< active, sorted
-  /// Shared-network count per unordered demand pair with >= 1 common
-  /// active network; an edge exists while the count is positive.
-  std::unordered_map<std::uint64_t, std::int32_t> sharedNetworks_;
+  /// Its mutation facet (same object); its graph's member lists are the
+  /// live demands per network.
+  MutableTopology& topo_;
 
   /// The protocol engine every epoch runs on, and the admission oracle
   /// of the persistent-stack re-pop. Both hold pool-sized arrays, so
@@ -363,7 +355,6 @@ class IncrementalSolver {
   std::vector<std::int32_t> changedNetworks_;
   std::vector<DemandId> affected_;
   std::vector<InstanceId> restricted_;
-  std::vector<std::int32_t> newNeighbors_;
 
   // Decision provenance (enabled ledger only; all empty otherwise).
   // The admission re-pop mirrors the feasibility oracle into this

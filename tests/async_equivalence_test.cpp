@@ -16,6 +16,7 @@
 #include "dist/sim_network.hpp"
 #include "gen/scenario.hpp"
 #include "net/runner.hpp"
+#include "test_fixtures.hpp"
 
 namespace treesched {
 namespace {
@@ -184,15 +185,16 @@ TEST_P(AsyncEquivalenceSweep, TreeHeterogeneousLinksBitIdentical) {
   AsyncConfig heterogeneous = uniform;
   // Pin a physical link that certainly carries traffic (round markers
   // cross every communication edge): the first edge of the graph.
-  const auto adjacency =
+  const CommunicationGraph graph =
       communicationGraph(problem.access, problem.numNetworks());
   LinkLatencyOverride slowLink;
   slowLink.endpointA = -1;
-  for (std::size_t d = 0; d < adjacency.size() && slowLink.endpointA < 0;
+  for (DemandId d = 0; d < graph.numDemands() && slowLink.endpointA < 0;
        ++d) {
-    if (!adjacency[d].empty()) {
-      slowLink.endpointA = static_cast<std::int32_t>(d);
-      slowLink.endpointB = adjacency[d].front();
+    const auto neighbors = testing::sortedNeighbors(graph, d);
+    if (!neighbors.empty()) {
+      slowLink.endpointA = d;
+      slowLink.endpointB = neighbors.front();
     }
   }
   ASSERT_GE(slowLink.endpointA, 0) << "sweep problems are connected";

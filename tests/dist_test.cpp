@@ -6,9 +6,12 @@
 #include "decomp/layering.hpp"
 #include "dist/protocol.hpp"
 #include "dist/sim_network.hpp"
+#include "engine/parallel_runner.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
+#include "test_fixtures.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace treesched {
 namespace {
@@ -28,7 +31,8 @@ TreeProblem treeCase(std::uint64_t seed, std::int32_t n, std::int32_t m,
 // ---- SimNetwork ----
 
 TEST(SimNetwork, DeliversToNeighborsNextRound) {
-  SimNetwork net({{1}, {0, 2}, {1}});
+  // p0-p1 over network 0, p1-p2 over network 1.
+  SimNetwork net(communicationGraph({{0}, {0, 1}, {1}}, 2));
   net.broadcast({MessageKind::MisActive, 1, 42, 0.0});
   net.endRound();
   EXPECT_EQ(net.inbox(0).size(), 1u);
@@ -40,7 +44,7 @@ TEST(SimNetwork, DeliversToNeighborsNextRound) {
 }
 
 TEST(SimNetwork, InboxClearedEachRound) {
-  SimNetwork net({{1}, {0}});
+  SimNetwork net(communicationGraph({{0}, {0}}, 1));
   net.broadcast({MessageKind::MisActive, 0, 1, 0.0});
   net.endRound();
   EXPECT_EQ(net.inbox(1).size(), 1u);
@@ -48,24 +52,33 @@ TEST(SimNetwork, InboxClearedEachRound) {
   EXPECT_TRUE(net.inbox(1).empty());
 }
 
-TEST(SimNetwork, RejectsAsymmetricGraph) {
-  EXPECT_THROW(SimNetwork({{1}, {}}), CheckError);
-}
+TEST(SimNetwork, SenderNeverHearsItself) {
+  // Alone on its network, and sharing two networks with p1: p0 reaches
+  // nobody in the first case and p1 exactly once in the second.
+  SimNetwork alone(communicationGraph({{0}}, 1));
+  alone.broadcast({MessageKind::MisActive, 0, 1, 0.0});
+  alone.endRound();
+  EXPECT_TRUE(alone.inbox(0).empty());
+  EXPECT_EQ(alone.stats().messages, 0);
 
-TEST(SimNetwork, RejectsSelfLoop) {
-  std::vector<std::vector<std::int32_t>> adjacency{{0}};
-  EXPECT_THROW(SimNetwork net(std::move(adjacency)), CheckError);
+  SimNetwork pair(communicationGraph({{0, 1}, {0, 1}}, 2));
+  pair.broadcast({MessageKind::MisActive, 0, 1, 0.0});
+  pair.endRound();
+  EXPECT_TRUE(pair.inbox(0).empty());
+  EXPECT_EQ(pair.inbox(1).size(), 1u);
+  EXPECT_EQ(pair.stats().messages, 1);
 }
 
 TEST(SimNetwork, SilentRoundsCount) {
-  SimNetwork net({{1}, {0}});
+  SimNetwork net(communicationGraph({{0}, {0}}, 1));
   net.endSilentRounds(5);
   EXPECT_EQ(net.stats().rounds, 5);
   EXPECT_EQ(net.stats().busyRounds, 0);
 }
 
 TEST(SimNetwork, InboxSortedCanonically) {
-  SimNetwork net({{2}, {2}, {0, 1}});
+  // p2 shares network 0 with p0 and network 1 with p1.
+  SimNetwork net(communicationGraph({{0}, {1}, {0, 1}}, 2));
   net.broadcast({MessageKind::MisActive, 1, 9, 0.0});
   net.broadcast({MessageKind::MisActive, 0, 3, 0.0});
   net.endRound();
@@ -77,57 +90,149 @@ TEST(SimNetwork, InboxSortedCanonically) {
 
 // ---- Communication graph ----
 
+using Neighbors = std::vector<std::int32_t>;
+using testing::sortedNeighbors;
+
 TEST(CommunicationGraph, SharedResourceMeansEdge) {
   // p0 on {0}, p1 on {0,1}, p2 on {1}: p0-p1 and p1-p2, not p0-p2.
-  const auto adj = communicationGraph({{0}, {0, 1}, {1}}, 2);
-  EXPECT_EQ(adj[0], (std::vector<std::int32_t>{1}));
-  EXPECT_EQ(adj[1], (std::vector<std::int32_t>{0, 2}));
-  EXPECT_EQ(adj[2], (std::vector<std::int32_t>{1}));
+  const auto graph = communicationGraph({{0}, {0, 1}, {1}}, 2);
+  EXPECT_EQ(sortedNeighbors(graph, 0), (Neighbors{1}));
+  EXPECT_EQ(sortedNeighbors(graph, 1), (Neighbors{0, 2}));
+  EXPECT_EQ(sortedNeighbors(graph, 2), (Neighbors{1}));
 }
 
 TEST(CommunicationGraph, NoDuplicateEdges) {
-  // Sharing two resources still yields one adjacency entry.
-  const auto adj = communicationGraph({{0, 1}, {0, 1}}, 2);
-  EXPECT_EQ(adj[0], (std::vector<std::int32_t>{1}));
+  // Sharing two resources still yields one neighbour entry.
+  const auto graph = communicationGraph({{0, 1}, {0, 1}}, 2);
+  EXPECT_EQ(sortedNeighbors(graph, 0), (Neighbors{1}));
+  EXPECT_EQ(graph.degree(0), 1);
 }
 
 TEST(CommunicationGraph, EmptyAccessListIsIsolated) {
   // A demand accessing nothing shares no network: isolated vertex, and
-  // it must not perturb anyone else's adjacency.
-  const auto adj = communicationGraph({{0}, {}, {0}}, 1);
-  EXPECT_EQ(adj[0], (std::vector<std::int32_t>{2}));
-  EXPECT_TRUE(adj[1].empty());
-  EXPECT_EQ(adj[2], (std::vector<std::int32_t>{0}));
+  // it must not perturb anyone else's neighbours.
+  const auto graph = communicationGraph({{0}, {}, {0}}, 1);
+  EXPECT_EQ(sortedNeighbors(graph, 0), (Neighbors{2}));
+  EXPECT_TRUE(sortedNeighbors(graph, 1).empty());
+  EXPECT_EQ(graph.degree(1), 0);
+  EXPECT_EQ(sortedNeighbors(graph, 2), (Neighbors{0}));
 }
 
 TEST(CommunicationGraph, AllDemandsIsolatedYieldsEmptyGraph) {
-  const auto adj = communicationGraph({{}, {}}, 3);
-  EXPECT_TRUE(adj[0].empty());
-  EXPECT_TRUE(adj[1].empty());
+  const auto graph = communicationGraph({{}, {}}, 3);
+  EXPECT_TRUE(sortedNeighbors(graph, 0).empty());
+  EXPECT_TRUE(sortedNeighbors(graph, 1).empty());
 }
 
 TEST(CommunicationGraph, DemandAccessingEveryNetworkNeighborsAll) {
   // p1 touches every network, so it is adjacent to every other demand —
   // exactly once each, with no self loop.
-  const auto adj = communicationGraph({{0}, {0, 1, 2}, {1}, {2}}, 3);
-  EXPECT_EQ(adj[1], (std::vector<std::int32_t>{0, 2, 3}));
-  EXPECT_EQ(adj[0], (std::vector<std::int32_t>{1}));
-  EXPECT_EQ(adj[2], (std::vector<std::int32_t>{1}));
-  EXPECT_EQ(adj[3], (std::vector<std::int32_t>{1}));
+  const auto graph = communicationGraph({{0}, {0, 1, 2}, {1}, {2}}, 3);
+  EXPECT_EQ(sortedNeighbors(graph, 1), (Neighbors{0, 2, 3}));
+  EXPECT_EQ(sortedNeighbors(graph, 0), (Neighbors{1}));
+  EXPECT_EQ(sortedNeighbors(graph, 2), (Neighbors{1}));
+  EXPECT_EQ(sortedNeighbors(graph, 3), (Neighbors{1}));
 }
 
 TEST(CommunicationGraph, DuplicateNetworkIdsCollapse) {
   // Repeated ids in an access list must not duplicate edges or create
-  // self loops; the result must be valid transport adjacency.
-  const auto adj = communicationGraph({{0, 0, 0}, {0, 0}}, 1);
-  EXPECT_EQ(adj[0], (std::vector<std::int32_t>{1}));
-  EXPECT_EQ(adj[1], (std::vector<std::int32_t>{0}));
-  validateCommunicationAdjacency(adj);
+  // self loops.
+  const auto graph = communicationGraph({{0, 0, 0}, {0, 0}}, 1);
+  EXPECT_EQ(sortedNeighbors(graph, 0), (Neighbors{1}));
+  EXPECT_EQ(sortedNeighbors(graph, 1), (Neighbors{0}));
+  EXPECT_EQ(graph.networksOf(0).size(), 1u);
+  EXPECT_EQ(graph.members(0).size(), 2u);
 }
 
 TEST(CommunicationGraph, RejectsOutOfRangeNetworkId) {
   EXPECT_THROW(communicationGraph({{2}}, 2), CheckError);
   EXPECT_THROW(communicationGraph({{-1}}, 2), CheckError);
+}
+
+/// Neighbours by clique expansion of the live access lists: d and m are
+/// adjacent iff both are live, m != d, and their lists intersect.
+Neighbors cliqueNeighbors(const std::vector<std::vector<std::int32_t>>& access,
+                          const std::vector<bool>& live, std::int32_t d) {
+  Neighbors out;
+  if (!live[static_cast<std::size_t>(d)]) return out;
+  const auto& mine = access[static_cast<std::size_t>(d)];
+  for (std::int32_t m = 0; m < static_cast<std::int32_t>(access.size());
+       ++m) {
+    if (m == d || !live[static_cast<std::size_t>(m)]) continue;
+    const auto& theirs = access[static_cast<std::size_t>(m)];
+    const bool shares = std::any_of(mine.begin(), mine.end(), [&](auto t) {
+      return std::find(theirs.begin(), theirs.end(), t) != theirs.end();
+    });
+    if (shares) out.push_back(m);
+  }
+  return out;
+}
+
+/// Every demand broadcasts once over `graph`; each must reach each of
+/// its neighbours exactly once, at 1 and 8 threads alike.
+void expectOneMessagePerNeighbor(const CommunicationGraph& graph) {
+  for (const std::int32_t threads : {1, 8}) {
+    ParallelRunner runner(threads);
+    SimNetwork net(graph);
+    net.attachRunner(&runner);
+    std::int64_t edges = 0;
+    for (std::int32_t d = 0; d < graph.numDemands(); ++d) {
+      net.broadcast({MessageKind::MisActive, d, d, 0.0});
+      edges += graph.degree(d);
+    }
+    net.endRound();
+    EXPECT_EQ(net.stats().messages, edges) << threads << " threads";
+    for (std::int32_t d = 0; d < graph.numDemands(); ++d) {
+      Neighbors senders;
+      for (const Message& m : net.inbox(d)) senders.push_back(m.from);
+      EXPECT_EQ(senders, sortedNeighbors(graph, d))
+          << "demand " << d << ", " << threads << " threads";
+    }
+    net.attachRunner(nullptr);
+  }
+}
+
+TEST(CommunicationGraph, LiveGraphMatchesCliqueExpansion) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto networks = static_cast<std::int32_t>(1 + rng.nextBounded(8));
+    const auto demands = static_cast<std::int32_t>(1 + rng.nextBounded(12));
+    // Empty, overlapping and repeated ids all occur.
+    std::vector<std::vector<std::int32_t>> access(
+        static_cast<std::size_t>(demands));
+    for (auto& list : access) {
+      const auto length = rng.nextBounded(5);
+      for (std::uint64_t k = 0; k < length; ++k) {
+        list.push_back(static_cast<std::int32_t>(rng.nextBounded(
+            static_cast<std::uint64_t>(networks))));
+      }
+    }
+    CommunicationGraph graph(access, networks);
+    std::vector<bool> live(static_cast<std::size_t>(demands), false);
+    for (int step = 0; step < 30; ++step) {
+      const auto d = static_cast<std::int32_t>(
+          rng.nextBounded(static_cast<std::uint64_t>(demands)));
+      if (rng.nextBool(0.6)) {
+        if (live[static_cast<std::size_t>(d)]) {
+          EXPECT_THROW(graph.connect(d), CheckError);
+        } else {
+          graph.connect(d);
+          live[static_cast<std::size_t>(d)] = true;
+        }
+      } else {
+        graph.disconnect(d);  // a no-op when d is not connected
+        live[static_cast<std::size_t>(d)] = false;
+      }
+      for (std::int32_t v = 0; v < demands; ++v) {
+        const Neighbors expected = cliqueNeighbors(access, live, v);
+        ASSERT_EQ(sortedNeighbors(graph, v), expected)
+            << "trial " << trial << ", step " << step << ", demand " << v;
+        ASSERT_EQ(graph.degree(v), static_cast<std::int32_t>(expected.size()));
+        ASSERT_EQ(graph.connected(v), live[static_cast<std::size_t>(v)]);
+      }
+      if (step % 10 == 9) expectOneMessagePerNeighbor(graph);
+    }
+  }
 }
 
 // ---- Protocol: equivalence with the centralized engine (E11) ----

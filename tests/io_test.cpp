@@ -115,6 +115,34 @@ TEST(Io, RejectsSemanticallyInvalid) {
   EXPECT_THROW(parseTreeProblem(text), CheckError);
 }
 
+// Malformed counts must end in CheckError — never in std::length_error
+// or std::bad_alloc from a container sized by an unchecked count.
+TEST(Io, RejectsNegativeVertexCount) {
+  EXPECT_THROW(parseTreeProblem("treesched-tree v1\nvertices -4\nnetworks 1\n"
+                                "network\n0 1\ndemands 0\n"),
+               CheckError);
+}
+
+TEST(Io, RejectsHugeVertexCount) {
+  EXPECT_THROW(
+      parseTreeProblem("treesched-tree v1\nvertices 2000000000\nnetworks 1\n"
+                       "network\n0 1\n1 2\ndemands 0\n"),
+      CheckError);
+}
+
+TEST(Io, RejectsNegativeAccessCount) {
+  EXPECT_THROW(
+      parseTreeProblem("treesched-tree v1\nvertices 3\nnetworks 1\nnetwork\n"
+                       "0 1\n1 2\ndemands 1\n0 2 1.0 1.0 -3 0\n"),
+      CheckError);
+}
+
+TEST(Io, RejectsHugeAccessCount) {
+  EXPECT_THROW(parseLineProblem("treesched-line v1\nslots 4\nresources 1\n"
+                                "demands 1\n0 3 1 1.0 1.0 2000000000 0\n"),
+               CheckError);
+}
+
 TEST(Io, FileRoundTrip) {
   TreeScenarioConfig cfg;
   cfg.seed = 11;

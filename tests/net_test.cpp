@@ -359,15 +359,18 @@ AsyncConfig lossyConfig() {
   return net;
 }
 
-AlphaSynchronizer makeSync(std::vector<std::vector<std::int32_t>> adjacency,
-                           const AsyncConfig& net) {
-  const auto n = static_cast<std::int32_t>(adjacency.size());
-  return AlphaSynchronizer(std::move(adjacency),
+/// One processor per demand over the graph of `access`, every demand
+/// connected.
+AlphaSynchronizer makeSync(const std::vector<std::vector<std::int32_t>>& access,
+                           std::int32_t numNetworks, const AsyncConfig& net) {
+  const auto n = static_cast<std::int32_t>(access.size());
+  return AlphaSynchronizer(communicationGraph(access, numNetworks),
                            ShardPlacement::identity(n), net);
 }
 
 TEST(AlphaSynchronizer, DeliversToNeighborsNextRoundDespiteLoss) {
-  AlphaSynchronizer net = makeSync({{1}, {0, 2}, {1}}, lossyConfig());
+  // p0-p1 over network 0, p1-p2 over network 1.
+  AlphaSynchronizer net = makeSync({{0}, {0, 1}, {1}}, 2, lossyConfig());
   net.broadcast({MessageKind::MisActive, 1, 42, 0.0});
   net.endRound();
   ASSERT_EQ(net.inbox(0).size(), 1u);
@@ -380,7 +383,7 @@ TEST(AlphaSynchronizer, DeliversToNeighborsNextRoundDespiteLoss) {
 }
 
 TEST(AlphaSynchronizer, InboxSortedCanonically) {
-  AlphaSynchronizer net = makeSync({{2}, {2}, {0, 1}}, lossyConfig());
+  AlphaSynchronizer net = makeSync({{0}, {1}, {0, 1}}, 2, lossyConfig());
   net.broadcast({MessageKind::MisActive, 1, 9, 0.0});
   net.broadcast({MessageKind::MisActive, 0, 3, 0.0});
   net.endRound();
@@ -391,7 +394,7 @@ TEST(AlphaSynchronizer, InboxSortedCanonically) {
 }
 
 TEST(AlphaSynchronizer, InboxClearedEachRound) {
-  AlphaSynchronizer net = makeSync({{1}, {0}}, lossyConfig());
+  AlphaSynchronizer net = makeSync({{0}, {0}}, 1, lossyConfig());
   net.broadcast({MessageKind::MisActive, 0, 1, 0.0});
   net.endRound();
   EXPECT_EQ(net.inbox(1).size(), 1u);
@@ -400,7 +403,7 @@ TEST(AlphaSynchronizer, InboxClearedEachRound) {
 }
 
 TEST(AlphaSynchronizer, SilentRoundsAdvanceClockWithoutTraffic) {
-  AlphaSynchronizer net = makeSync({{1}, {0}}, lossyConfig());
+  AlphaSynchronizer net = makeSync({{0}, {0}}, 1, lossyConfig());
   const std::int64_t before = net.stats().transmissions;
   net.endSilentRounds(5);
   EXPECT_EQ(net.stats().rounds, 5);
@@ -410,7 +413,7 @@ TEST(AlphaSynchronizer, SilentRoundsAdvanceClockWithoutTraffic) {
 }
 
 TEST(AlphaSynchronizer, VirtualTimeMonotone) {
-  AlphaSynchronizer net = makeSync({{1}, {0}}, lossyConfig());
+  AlphaSynchronizer net = makeSync({{0}, {0}}, 1, lossyConfig());
   double last = 0;
   for (int r = 0; r < 4; ++r) {
     net.broadcast({MessageKind::MisActive, 0, r, 0.0});
@@ -423,7 +426,7 @@ TEST(AlphaSynchronizer, VirtualTimeMonotone) {
 TEST(AlphaSynchronizer, ShardedLocalTrafficSkipsTheWire) {
   // Both demands on one processor: no physical links, no transmissions.
   AsyncConfig net = lossyConfig();
-  AlphaSynchronizer sync({{1}, {0}},
+  AlphaSynchronizer sync(communicationGraph({{0}, {0}}, 1),
                          ShardPlacement::build(ShardStrategy::RoundRobin,
                                                {{0}, {0}}, 1),
                          net);
@@ -435,9 +438,10 @@ TEST(AlphaSynchronizer, ShardedLocalTrafficSkipsTheWire) {
   EXPECT_GT(sync.stats().virtualTime, 0.0);
 }
 
-TEST(AlphaSynchronizer, RejectsAsymmetricGraph) {
-  AsyncConfig net;
-  EXPECT_THROW(makeSync({{1}, {}}, net), CheckError);
+TEST(AlphaSynchronizer, RejectsPlacementNotCoveringTheGraph) {
+  EXPECT_THROW(AlphaSynchronizer(communicationGraph({{0}, {0}, {0}}, 1),
+                                 ShardPlacement::identity(2), AsyncConfig{}),
+               CheckError);
 }
 
 }  // namespace

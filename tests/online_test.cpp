@@ -23,10 +23,12 @@
 #include <vector>
 
 #include "dist/sim_network.hpp"
+#include "net/live_transport.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
 #include "online/churn_engine.hpp"
 #include "online/incremental.hpp"
+#include "test_fixtures.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
@@ -262,7 +264,7 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   dopt.recordRaiseLog = true;
   WarmStart warm;
   warm.activeInstances = restriction;
-  SimNetwork bus(prepared.adjacency);
+  SimNetwork bus(prepared.graph);
   const DistributedResult dist = runDistributedWarmStart(
       prepared.universe, prepared.layering, bus, dopt, warm);
 
@@ -295,7 +297,7 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   }
 
   // An empty warm start is the classic full run.
-  SimNetwork bus2(prepared.adjacency);
+  SimNetwork bus2(prepared.graph);
   const DistributedResult full = runDistributedWarmStart(
       prepared.universe, prepared.layering, bus2, dopt, WarmStart{});
   const DistributedResult classic = runDistributedUnitTree(problem, dopt);
@@ -363,9 +365,8 @@ std::vector<EpochOutcome> runBatches(const Problem& pool,
                                      const std::vector<EpochBatch>& batches,
                                      const OnlineSolverConfig& config) {
   DynamicUniverse universe = makeDynamicUniverse(pool);
-  SimNetwork bus(std::vector<std::vector<std::int32_t>>(
-      static_cast<std::size_t>(pool.numDemands())));
-  IncrementalSolver solver(universe, config, bus);
+  const auto bus = makeLiveTransport(pool.numDemands(), pool.access, {});
+  IncrementalSolver solver(universe, config, *bus);
   std::vector<EpochOutcome> epochs;
   for (const EpochBatch& batch : batches) {
     epochs.push_back(solver.applyEpoch(batch.arrivals, batch.departures));
@@ -451,8 +452,8 @@ TEST(IncrementalSolver, LiveGraphMatchesFromScratchEveryEpoch) {
   DynamicUniverse dynamic = makeDynamicTreeUniverse(scenario.pool);
   OnlineSolverConfig solver;
   solver.seed = 99;
-  SimNetwork bus(std::vector<std::vector<std::int32_t>>(
-      static_cast<std::size_t>(scenario.pool.numDemands())));
+  SimNetwork bus(
+      CommunicationGraph(scenario.pool.access, scenario.pool.numNetworks()));
   IncrementalSolver engine(dynamic, solver, bus);
 
   const ChurnTrace trace = generateChurnTrace(
@@ -470,10 +471,14 @@ TEST(IncrementalSolver, LiveGraphMatchesFromScratchEveryEpoch) {
     }
     const auto expected =
         communicationGraph(maskedAccess, scenario.pool.numNetworks());
+    const CommunicationGraph& live = bus.graph();
+    for (std::int32_t t = 0; t < scenario.pool.numNetworks(); ++t) {
+      ASSERT_TRUE(std::ranges::equal(live.members(t), expected.members(t)))
+          << "network " << t << " after epoch " << engine.numEpochs();
+    }
     for (DemandId d = 0; d < scenario.pool.numDemands(); ++d) {
-      const auto live = engine.transport().neighbors(d);
-      const std::vector<std::int32_t> liveList(live.begin(), live.end());
-      ASSERT_EQ(liveList, expected[static_cast<std::size_t>(d)])
+      ASSERT_EQ(testing::sortedNeighbors(live, d),
+                testing::sortedNeighbors(expected, d))
           << "demand " << d << " after epoch " << engine.numEpochs();
     }
     // The persistent LHS stays a replay of the surviving raises (bounds
@@ -495,8 +500,8 @@ TEST(IncrementalSolver, StackCompactionDropsFullyPurgedSets) {
   DynamicUniverse dynamic = makeDynamicTreeUniverse(scenario.pool);
   OnlineSolverConfig solver;
   solver.seed = 41;
-  SimNetwork bus(std::vector<std::vector<std::int32_t>>(
-      static_cast<std::size_t>(scenario.pool.numDemands())));
+  SimNetwork bus(
+      CommunicationGraph(scenario.pool.access, scenario.pool.numNetworks()));
   IncrementalSolver engine(dynamic, solver, bus);
 
   const ChurnTrace trace = generateChurnTrace(
@@ -528,8 +533,8 @@ TEST(IncrementalSolver, AdmissionSlaTracksFirstAdmission) {
   DynamicUniverse dynamic = makeDynamicTreeUniverse(scenario.pool);
   OnlineSolverConfig solver;
   solver.seed = 57;
-  SimNetwork bus(std::vector<std::vector<std::int32_t>>(
-      static_cast<std::size_t>(scenario.pool.numDemands())));
+  SimNetwork bus(
+      CommunicationGraph(scenario.pool.access, scenario.pool.numNetworks()));
   IncrementalSolver engine(dynamic, solver, bus);
 
   std::vector<DemandId> all;
@@ -584,35 +589,39 @@ TEST(IncrementalSolver, AdmissionSlaTracksFirstAdmission) {
 }
 
 TEST(SimNetworkLiveTopology, ConnectAndDisconnectMaintainSymmetry) {
-  SimNetwork bus(std::vector<std::vector<std::int32_t>>(4));
-  bus.connectDemand(1, std::vector<std::int32_t>{});
-  bus.connectDemand(0, std::vector<std::int32_t>{2, 3});
-  EXPECT_EQ(bus.neighbors(2).size(), 1u);
-  EXPECT_EQ(bus.neighbors(2)[0], 0);
-  EXPECT_EQ(bus.neighbors(3)[0], 0);
+  // p0 shares network 0 with p2 and network 1 with p3; p1 is alone.
+  SimNetwork bus(CommunicationGraph({{0, 1}, {2}, {0}, {1}}, 3));
+  using testing::sortedNeighbors;
+  bus.connectDemand(1);
+  bus.connectDemand(2);
+  bus.connectDemand(3);
+  EXPECT_TRUE(sortedNeighbors(bus.graph(), 2).empty());
+  bus.connectDemand(0);
+  EXPECT_EQ(sortedNeighbors(bus.graph(), 0),
+            (std::vector<std::int32_t>{2, 3}));
+  EXPECT_EQ(sortedNeighbors(bus.graph(), 2), (std::vector<std::int32_t>{0}));
+  EXPECT_EQ(sortedNeighbors(bus.graph(), 3), (std::vector<std::int32_t>{0}));
+  EXPECT_TRUE(sortedNeighbors(bus.graph(), 1).empty());
 
-  // A connected demand must be disconnected before reconnecting; the
-  // neighbour list must be sorted and loop-free.
-  EXPECT_THROW(bus.connectDemand(0, std::vector<std::int32_t>{1}),
-               CheckError);
-  EXPECT_THROW(bus.connectDemand(1, std::vector<std::int32_t>{3, 2}),
-               CheckError);
-  EXPECT_THROW(bus.connectDemand(1, std::vector<std::int32_t>{1}),
-               CheckError);
+  // A connected demand must be disconnected before reconnecting, and ids
+  // must be in range.
+  EXPECT_THROW(bus.connectDemand(0), CheckError);
+  EXPECT_THROW(bus.connectDemand(4), CheckError);
 
   bus.disconnectDemand(0);
-  EXPECT_TRUE(bus.neighbors(0).empty());
-  EXPECT_TRUE(bus.neighbors(2).empty());
-  EXPECT_TRUE(bus.neighbors(3).empty());
+  bus.disconnectDemand(3);
+  EXPECT_TRUE(sortedNeighbors(bus.graph(), 0).empty());
+  EXPECT_TRUE(sortedNeighbors(bus.graph(), 2).empty());
+  EXPECT_TRUE(sortedNeighbors(bus.graph(), 3).empty());
 
   // No mutation with staged traffic: the round must end first.
-  bus.connectDemand(0, std::vector<std::int32_t>{2});
+  bus.connectDemand(0);
   bus.broadcast({MessageKind::MisActive, 0, 1, 0.0});
   EXPECT_THROW(bus.disconnectDemand(0), CheckError);
-  EXPECT_THROW(bus.connectDemand(3, std::vector<std::int32_t>{1}),
-               CheckError);
+  EXPECT_THROW(bus.connectDemand(3), CheckError);
   bus.endRound();
   EXPECT_EQ(bus.inbox(2).size(), 1u);
+  EXPECT_TRUE(bus.inbox(3).empty());
   bus.disconnectDemand(0);
 }
 

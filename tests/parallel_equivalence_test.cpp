@@ -12,6 +12,7 @@
 // and ParallelRunner coverage/barrier units.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -293,30 +294,43 @@ TEST(MessagePlane, ParallelSegmentSortMatchesSerial) {
 
 TEST(MessagePlane, ParallelFanoutMatchesSerialStaging) {
   // The deferred broadcast fan-out (stageFanout) must deliver exactly
-  // what the serial per-neighbour stage() loop delivers — at any thread
-  // count, and mixed with direct stage() rows in the same round.
+  // what a serial stage() loop over the sender's clique-expanded
+  // neighbours delivers — at any thread count, mixed with direct stage()
+  // rows in the same round, and for pairs sharing several networks.
   ParallelRunner runner(4);
   MessagePlane parallel(12);
   MessagePlane serial(12);
   parallel.attachRunner(&runner);
   Rng rng(13);
-  std::vector<std::vector<std::int32_t>> destLists;
-  for (int f = 0; f < 40; ++f) {
-    std::vector<std::int32_t> dests;
-    for (std::int32_t d = 0; d < 12; ++d) {
-      if (rng.nextBool(0.4)) dests.push_back(d);
+  std::vector<std::vector<std::int32_t>> access(12);
+  for (auto& list : access) {
+    for (std::int32_t t = 0; t < 5; ++t) {
+      if (rng.nextBool(0.3)) list.push_back(t);
     }
-    destLists.push_back(std::move(dests));
+  }
+  const CommunicationGraph graph = communicationGraph(access, 5);
+  std::vector<std::vector<std::int32_t>> destLists(12);
+  for (std::size_t a = 0; a < access.size(); ++a) {
+    for (std::size_t b = 0; b < access.size(); ++b) {
+      const bool shares = std::any_of(
+          access[a].begin(), access[a].end(), [&](std::int32_t t) {
+            return std::find(access[b].begin(), access[b].end(), t) !=
+                   access[b].end();
+          });
+      if (a != b && shares) {
+        destLists[a].push_back(static_cast<std::int32_t>(b));
+      }
+    }
   }
   for (int round = 0; round < 3; ++round) {
-    for (std::size_t f = 0; f < destLists.size(); ++f) {
+    for (std::size_t f = 0; f < 40; ++f) {
       const Message message =
           msg(f % 2 == 0 ? MessageKind::MisActive : MessageKind::DualRaise,
               static_cast<DemandId>(f % 12),
               static_cast<InstanceId>(rng.nextBounded(64)),
               rng.nextDouble());
-      parallel.stageFanout(message, destLists[f]);
-      for (const std::int32_t d : destLists[f]) {
+      parallel.stageFanout(message, graph);
+      for (const std::int32_t d : destLists[f % 12]) {
         serial.stage(d, message);
       }
       if (f % 7 == 0) {  // direct rows interleaved with fan-outs
@@ -343,7 +357,7 @@ TEST(MessagePlane, ParallelFanoutMatchesSerialStaging) {
     }
   }
   // Queued fan-outs guard the silent-round contract like staged rows.
-  parallel.stageFanout(msg(MessageKind::MisActive, 0, 1), destLists[0]);
+  parallel.stageFanout(msg(MessageKind::MisActive, 0, 1), graph);
   if (!destLists[0].empty()) {
     EXPECT_THROW(parallel.clearInboxes(), CheckError);
     parallel.deliver();

@@ -253,14 +253,14 @@ TEST(Provenance, OneShotLedgerBitIdentityAndCertificates) {
     for (const bool isTree : {true, false}) {
       PreparedRun plainRun =
           isTree ? prepareUnitTreeRun(tree) : prepareUnitLineRun(line);
-      SimNetwork plainBus(std::move(plainRun.adjacency));
+      SimNetwork plainBus(std::move(plainRun.graph));
       const OneShotFingerprint before = fingerprintOf(
           runDistributedOverTransport(plainRun.universe, plainRun.layering,
                                       plainBus, plain));
 
       PreparedRun tracedRun =
           isTree ? prepareUnitTreeRun(tree) : prepareUnitLineRun(line);
-      SimNetwork tracedBus(std::move(tracedRun.adjacency));
+      SimNetwork tracedBus(std::move(tracedRun.graph));
       ProvenanceLedger ledger;
       DistributedOptions traced = plain;
       traced.ledger = &ledger;
@@ -302,7 +302,7 @@ TEST(Provenance, OneShotLedgerBitIdentityAndCertificates) {
 TEST(Provenance, OneShotCrashEventsCarryNoCertificate) {
   const TreeProblem tree = testTree(74);
   PreparedRun run = prepareUnitTreeRun(tree);
-  SimNetwork bus(std::move(run.adjacency));
+  SimNetwork bus(std::move(run.graph));
   ProvenanceLedger ledger;
   DistributedOptions opt;
   opt.seed = 75;

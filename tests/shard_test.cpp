@@ -8,6 +8,7 @@
 
 #include "gen/scenario.hpp"
 #include "net/shard.hpp"
+#include "net/synchronizer.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
@@ -111,7 +112,7 @@ TEST(ShardPlacement, RejectsDegenerateInputs) {
 TEST(ShardPlacement, ZeroDemandProcessorsStayValidEndToEnd) {
   // More processors than demands clamps (never an empty shard), but an
   // explicitly sparse placement with empty processors must also survive
-  // the whole stack: partition audit + adjacency collapse.
+  // the whole stack: partition audit + a synchronizer round over it.
   const ShardPlacement clamped = ShardPlacement::build(
       ShardStrategy::Locality, stripedAccess(3, 2), 8);
   expectPartition(clamped, 3);
@@ -124,14 +125,20 @@ TEST(ShardPlacement, ZeroDemandProcessorsStayValidEndToEnd) {
   sparse.numProcessors = 4;
   sparse.processorOfDemand = {0, 3, 3};  // processors 1 and 2 host nothing
   sparse.demandsOfProcessor = {{0}, {}, {}, {1, 2}};
-  const std::vector<std::vector<std::int32_t>> demandAdjacency = {
-      {1, 2}, {0, 2}, {0, 1}};
-  const auto adjacency = shardAdjacency(demandAdjacency, sparse);
-  ASSERT_EQ(adjacency.size(), 4u);
-  EXPECT_EQ(adjacency[0], (std::vector<std::int32_t>{3}));
-  EXPECT_TRUE(adjacency[1].empty());
-  EXPECT_TRUE(adjacency[2].empty());
-  EXPECT_EQ(adjacency[3], (std::vector<std::int32_t>{0}));
+  AlphaSynchronizer sync(communicationGraph({{0}, {0}, {0}}, 1), sparse,
+                         AsyncConfig{});
+  sync.broadcast({MessageKind::MisActive, 0, 1, 0.0});
+  sync.broadcast({MessageKind::MisActive, 1, 2, 0.0});
+  sync.endRound();
+  EXPECT_EQ(sync.inbox(0).size(), 1u);
+  EXPECT_EQ(sync.inbox(1).size(), 1u);
+  EXPECT_EQ(sync.inbox(2).size(), 2u);
+  EXPECT_EQ(sync.stats().messages, 4);
+  ASSERT_EQ(sync.stats().processorLoad.size(), 4u);
+  EXPECT_EQ(sync.stats().processorLoad[1], 0);
+  EXPECT_EQ(sync.stats().processorLoad[2], 0);
+  EXPECT_GT(sync.stats().processorLoad[0], 0);
+  EXPECT_GT(sync.stats().processorLoad[3], 0);
 }
 
 TEST(ShardPlacement, AllDemandsOnOneNetworkSplitIntoBalancedBlocks) {
@@ -209,30 +216,6 @@ TEST(ShardPlacement, LocalityGroupsAccessCountMaxInstances) {
     }
   }
   EXPECT_GT(localityTogether, 2 * roundRobinTogether);
-}
-
-TEST(ShardAdjacency, CollapsesToProcessorLevel) {
-  // Demand graph: 0-1, 1-2, 2-3; placement {0,1}->P0, {2,3}->P1.
-  const std::vector<std::vector<std::int32_t>> demandAdjacency = {
-      {1}, {0, 2}, {1, 3}, {2}};
-  ShardPlacement placement;
-  placement.numProcessors = 2;
-  placement.processorOfDemand = {0, 0, 1, 1};
-  placement.demandsOfProcessor = {{0, 1}, {2, 3}};
-  const auto adjacency = shardAdjacency(demandAdjacency, placement);
-  ASSERT_EQ(adjacency.size(), 2u);
-  EXPECT_EQ(adjacency[0], (std::vector<std::int32_t>{1}));
-  EXPECT_EQ(adjacency[1], (std::vector<std::int32_t>{0}));
-}
-
-TEST(ShardAdjacency, AllLocalMeansNoLinks) {
-  const std::vector<std::vector<std::int32_t>> demandAdjacency = {{1}, {0}};
-  const auto adjacency =
-      shardAdjacency(demandAdjacency,
-                     ShardPlacement::build(ShardStrategy::RoundRobin,
-                                           {{0}, {0}}, 1));
-  ASSERT_EQ(adjacency.size(), 1u);
-  EXPECT_TRUE(adjacency[0].empty());
 }
 
 // ---- Epoch-boundary migration primitives + the rebalance planner ----

@@ -13,7 +13,12 @@
 // The vertices 6,7,10,11,14 are attached consistently with those facts.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "graph/tree_network.hpp"
+#include "net/communication_graph.hpp"
 
 namespace treesched::testing {
 
@@ -28,6 +33,15 @@ inline TreeNetwork paperExampleTree(TreeId id = 0) {
       {P(3), P(6)},  {P(6), P(7)},  {P(9), P(10)}, {P(10), P(11)},
       {P(13), P(14)}};
   return TreeNetwork(id, 14, edges);
+}
+
+/// Demand d's neighbours in `graph`, ascending.
+inline std::vector<std::int32_t> sortedNeighbors(
+    const CommunicationGraph& graph, std::int32_t d) {
+  std::vector<std::int32_t> out;
+  graph.forEachNeighbor(d, [&out](std::int32_t m) { out.push_back(m); });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace treesched::testing
